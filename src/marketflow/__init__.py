@@ -35,7 +35,6 @@ from .book import (
     apply_order,
     init_book,
     reconcile,
-    regenerate_levels,
 )
 from .agents import AgentSampler
 from .engine import SeriesBundle, run, smooth_series, smooth_viscosity, step
@@ -77,7 +76,6 @@ __all__ = [
     "kernel_weight",
     "obstacle_density",
     "reconcile",
-    "regenerate_levels",
     "reynolds_closed_form",
     "reynolds_tick",
     "run",

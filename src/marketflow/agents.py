@@ -32,11 +32,10 @@ class AgentSampler:
         return Side.BUY if self.rng.random() < 0.5 else Side.SELL
 
     def sample_price(self, book: OrderBook, side: Side) -> int:
-        collision_price = book.ask if side is Side.BUY else book.bid
         if self.rng.random() < self.collision_probability:
-            return collision_price
-        own = book.prices(side)
-        return own[int(self.rng.integers(0, len(own)))]
+            return book.ask if side is Side.BUY else book.bid
+        depth = int(self.rng.integers(0, 10))
+        return book.bid - depth if side is Side.BUY else book.ask + depth
 
     def sample_size(self, price: int, book: OrderBook) -> float:
         # deterministic given the quotes: no extra noise on top of the kernel

@@ -1,10 +1,11 @@
 """Order book state and the matching rule applied to incoming agents.
 
-The book holds exactly ten price levels per side. An incoming agent
-either rests in the book (passive) or trades against the best opposite
-level (active). Fills are capped at that single level: a full fill
-removes it, the side regenerates one far-end level, and any residual
-agent size rests passively on the traded side's new best level.
+The book holds ten levels per side at contiguous integer ticks, stored
+as the two quotes plus ten sizes per side. An incoming agent either
+rests in the book (passive) or trades against the best opposite level
+(active). Fills are capped at that single level: a full fill removes
+it, moves that quote one tick outward, appends one far-end level, and
+any residual agent size rests on the traded side's new best level.
 
 Every mutation is journaled so the final state can be reconciled
 bit-exactly against a replay of the journal.
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .config import SimConfig
-from .physics import size_at
+from .physics import DegenerateBookError, size_at
 
 
 class Side(Enum):
@@ -60,37 +61,34 @@ class InteractionOutcome:
 
 
 class OrderBook:
-    """Ten buy levels (descending price) and ten sell levels (ascending).
+    """Two quotes and ten sizes per side, indexed by depth from the best.
 
-    Level sizes are stateful reals: passive orders add to them, partial
-    fills shrink them, full fills delete them. The journal records each
-    of those float operations in order.
+    Level i sits at `bid - i` on the buy side and `ask + i` on the sell
+    side, so ordering, contiguity and the level count hold by
+    construction. Passive orders add to sizes, partial fills shrink
+    them, and the journal records each of those float operations.
     """
 
-    def __init__(self, buy_levels: list[PriceLevel], sell_levels: list[PriceLevel],
-                 m: float, h: float):
+    def __init__(self, bid: int, ask: int, m: float, h: float):
         self.m = m
         self.h = h
-        self._prices = {
-            Side.BUY: [lv.price for lv in buy_levels],
-            Side.SELL: [lv.price for lv in sell_levels],
-        }
-        self._sizes = {
-            Side.BUY: {lv.price: lv.size for lv in buy_levels},
-            Side.SELL: {lv.price: lv.size for lv in sell_levels},
-        }
-        self.journal: list[tuple[str, Side, int, float]] = []
-        for side in (Side.BUY, Side.SELL):
-            for p in self._prices[side]:
-                self.journal.append(("init", side, p, self._sizes[side][p]))
+        self.bid = bid
+        self.ask = ask
+        # Each side's prices, shifted only when its quote moves, so the
+        # journal holds one shared int object per level.
+        self._buy_ticks = [bid - i for i in range(10)]
+        self._sell_ticks = [ask + i for i in range(10)]
+        self.buy_sizes = [size_at(p, bid, ask, m, h) for p in self._buy_ticks]
+        self.sell_sizes = [size_at(p, bid, ask, m, h) for p in self._sell_ticks]
+        self.journal: list[tuple[str, Side, int, float]] = [
+            ("init", side, lv.price, lv.size)
+            for side in (Side.BUY, Side.SELL) for lv in self.levels(side)]
 
-    @property
-    def bid(self) -> int:
-        return self._prices[Side.BUY][0]
-
-    @property
-    def ask(self) -> int:
-        return self._prices[Side.SELL][0]
+    def _side(self, side: Side) -> tuple[list[float], list[int], int]:
+        """(sizes, prices, outward tick step) of one side."""
+        if side is Side.BUY:
+            return self.buy_sizes, self._buy_ticks, -1
+        return self.sell_sizes, self._sell_ticks, 1
 
     @property
     def spread(self) -> int:
@@ -100,90 +98,73 @@ class OrderBook:
     def mid(self) -> float:
         return (self.bid + self.ask) / 2.0
 
+    def depth(self, side: Side, price: int) -> int:
+        """Ticks from the side's best quote out to `price`."""
+        return self.bid - price if side is Side.BUY else price - self.ask
+
     def prices(self, side: Side) -> list[int]:
-        return list(self._prices[side])
+        return list(self._side(side)[1])
 
     def levels(self, side: Side) -> list[PriceLevel]:
-        return [PriceLevel(p, self._sizes[side][p]) for p in self._prices[side]]
+        sizes, ticks, _ = self._side(side)
+        return [PriceLevel(p, size) for p, size in zip(ticks, sizes)]
 
     def size_of(self, side: Side, price: int) -> float:
-        return self._sizes[side][price]
-
-    def has_level(self, side: Side, price: int) -> bool:
-        return price in self._sizes[side]
-
-    def total_size(self, side: Side) -> float:
-        return sum(self._sizes[side].values())
+        depth = self.depth(side, price)
+        if not 0 <= depth < 10:
+            raise ValueError(f"no resting {side.value} level at {price}")
+        return self._side(side)[0][depth]
 
     # --- journaled mutations -------------------------------------------
 
-    def add_size(self, side: Side, price: int, amount: float, tag: str) -> None:
-        self._sizes[side][price] += amount
-        self.journal.append((tag, side, price, amount))
+    def add_size(self, side: Side, depth: int, amount: float, tag: str) -> None:
+        sizes, ticks, _ = self._side(side)
+        sizes[depth] += amount
+        self.journal.append((tag, side, ticks[depth], amount))
 
-    def take_size(self, side: Side, price: int, amount: float) -> None:
-        self._sizes[side][price] -= amount
-        self.journal.append(("trade", side, price, amount))
+    def take_best(self, side: Side, amount: float) -> None:
+        sizes, ticks, _ = self._side(side)
+        sizes[0] -= amount
+        self.journal.append(("trade", side, ticks[0], amount))
 
     def consume_best(self, side: Side) -> float:
-        """Remove the best level of a side entirely; returns its size."""
-        price = self._prices[side][0]
-        size = self._sizes[side].pop(price)
-        self._prices[side].pop(0)
+        """Remove the best level, move the quote one tick outward and
+        append a far level sized at the new quotes; returns the removed
+        size."""
+        sizes, ticks, step = self._side(side)
+        size = sizes.pop(0)
+        price = ticks.pop(0)
         self.journal.append(("consume", side, price, size))
+        ticks.append(ticks[-1] + step)
+        self.bid, self.ask = self._buy_ticks[0], self._sell_ticks[0]
+        sizes.append(size_at(ticks[-1], self.bid, self.ask, self.m, self.h))
+        self.journal.append(("regen", side, ticks[-1], sizes[-1]))
         return size
-
-    def append_far(self, side: Side, price: int, size: float) -> None:
-        self._prices[side].append(price)
-        self._sizes[side][price] = size
-        self.journal.append(("regen", side, price, size))
 
     # --- invariants -----------------------------------------------------
 
     def check(self) -> None:
+        """Ten positive sizes per side and an uncrossed book."""
         for side in (Side.BUY, Side.SELL):
-            ps = self._prices[side]
-            if len(ps) != 10:
-                raise AssertionError(f"{side.value} side holds {len(ps)} levels, want 10")
-            ordered = all(a > b for a, b in zip(ps, ps[1:])) if side is Side.BUY \
-                else all(a < b for a, b in zip(ps, ps[1:]))
-            if not ordered:
-                raise AssertionError(f"{side.value} levels out of order")
-            for p in ps:
-                if not self._sizes[side][p] > 0:
-                    raise AssertionError(f"non-positive size at {side.value} {p}")
+            sizes, ticks, _ = self._side(side)
+            if len(sizes) != 10:
+                raise DegenerateBookError(
+                    f"{side.value} side holds {len(sizes)} levels, want 10")
+            for p, size in zip(ticks, sizes):
+                if not size > 0:
+                    raise DegenerateBookError(
+                        f"{side.value} level {p} has non-positive size {size!r}")
         if self.bid >= self.ask:
-            raise AssertionError("book is crossed")
+            raise DegenerateBookError(
+                f"book is crossed: bid {self.bid} >= ask {self.ask}")
 
 
 def init_book(config: SimConfig) -> OrderBook:
     """Build the starting book: ten contiguous levels per side around the
     configured bid and spread, sized by the kernel at those anchors."""
-    if config.initial_bid < 1:
-        raise ValueError("initial_bid must be >= 1")
-    if config.initial_spread < 1:
-        raise ValueError("initial_spread must be >= 1")
-    bid = config.initial_bid
-    ask = bid + config.initial_spread
-    buys = [PriceLevel(bid - i, size_at(bid - i, bid, ask, config.m, config.h))
-            for i in range(10)]
-    sells = [PriceLevel(ask + i, size_at(ask + i, bid, ask, config.m, config.h))
-             for i in range(10)]
-    return OrderBook(buys, sells, config.m, config.h)
-
-
-def regenerate_levels(book: OrderBook, side: Side, m: float, h: float) -> OrderBook:
-    """Append one far-end level after a full-fill removal left nine.
-
-    The new price sits one tick beyond the side's current farthest and
-    its size is the kernel value at the current bid/ask anchors.
-    """
-    ps = book.prices(side)
-    if len(ps) != 9:
-        raise ValueError(f"regeneration expects 9 levels, found {len(ps)}")
-    new_price = ps[-1] - 1 if side is Side.BUY else ps[-1] + 1
-    book.append_far(side, new_price, size_at(new_price, book.bid, book.ask, m, h))
-    return book
+    config.validate()
+    return OrderBook(config.initial_bid, config.initial_bid + config.initial_spread,
+                     config.m, config.h)
 
 
 def apply_order(book: OrderBook, agent: FluidAgent) -> InteractionOutcome:
@@ -198,7 +179,8 @@ def apply_order(book: OrderBook, agent: FluidAgent) -> InteractionOutcome:
     opp = own.other
     opposite_best = book.ask if own is Side.BUY else book.bid
     active = agent.price == opposite_best
-    if not active and not book.has_level(own, agent.price):
+    depth = book.depth(own, agent.price)
+    if not active and not 0 <= depth < 10:
         raise ValueError(
             f"{own.value} price {agent.price} is neither the opposite best "
             f"nor a resting {own.value} level")
@@ -210,7 +192,7 @@ def apply_order(book: OrderBook, agent: FluidAgent) -> InteractionOutcome:
     order_notional = agent.size * agent.price
 
     if not active:
-        book.add_size(own, agent.price, agent.size, "passive")
+        book.add_size(own, depth, agent.size, "passive")
         return InteractionOutcome(
             traded_volume=0.0, price_change=0.0, spread_before=spread_before,
             obstacle_notional=obstacle_notional, order_notional=order_notional,
@@ -218,14 +200,12 @@ def apply_order(book: OrderBook, agent: FluidAgent) -> InteractionOutcome:
 
     if agent.size >= obstacle_size:
         volume = book.consume_best(opp)
-        regenerate_levels(book, opp, book.m, book.h)
         residual = agent.size - volume
         if residual > 0.0:
-            new_best = book.ask if opp is Side.SELL else book.bid
-            book.add_size(opp, new_best, residual, "residual")
+            book.add_size(opp, 0, residual, "residual")
     else:
         volume = agent.size
-        book.take_size(opp, opposite_best, volume)
+        book.take_best(opp, volume)
 
     return InteractionOutcome(
         traded_volume=volume, price_change=book.mid - mid_before,
@@ -269,18 +249,16 @@ def reconcile(book: OrderBook) -> ReconcileReport:
         elif op == "consume":
             del sizes[side][price]
 
-    exact = all(
-        sizes[side] == {p: book.size_of(side, p) for p in book.prices(side)}
-        for side in (Side.BUY, Side.SELL))
-
+    live = {side: {lv.price: lv.size for lv in book.levels(side)}
+            for side in (Side.BUY, Side.SELL)}
     gap = {}
     for side in (Side.BUY, Side.SELL):
         expected = (agg["init"][side] + agg["passive"][side] + agg["residual"][side]
                     + agg["regen"][side] - agg["trade"][side] - agg["consume"][side])
-        gap[side] = abs(book.total_size(side) - expected)
+        gap[side] = abs(sum(live[side].values()) - expected)
 
     removed = {s: agg["trade"][s] + agg["consume"][s] for s in (Side.BUY, Side.SELL)}
     return ReconcileReport(
-        exact=exact, initial=agg["init"], passive_added=agg["passive"],
+        exact=sizes == live, initial=agg["init"], passive_added=agg["passive"],
         residual_added=agg["residual"], regen_added=agg["regen"],
         traded_removed=removed, identity_gap=gap)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, fields
+
+from .physics import kernel_weight
 
 
 @dataclass
@@ -25,10 +29,23 @@ class SimConfig:
             raise ValueError("initial_bid must be >= 1")
         if self.initial_spread < 1:
             raise ValueError("initial_spread must be >= 1")
-        if not self.m > 0:
-            raise ValueError("m must be > 0")
-        if not self.h > 0:
-            raise ValueError("h must be > 0")
+        if not 0 < self.m < math.inf:
+            raise ValueError("m must be finite and > 0")
+        if not 0 < self.h < math.inf:
+            raise ValueError("h must be finite and > 0")
+        # A level sits at most nine ticks from its own anchor, so every
+        # kernel size lies between m * W(9; h) and 2 * m * W(0; h). Where
+        # h**3 underflows the kernel would divide by zero; its weights are
+        # all 0 there anyway.
+        far = near = 0.0
+        if self.h * self.h * self.h > 0:
+            far = self.m * kernel_weight(9, self.h)
+            near = 2 * self.m * kernel_weight(0, self.h)
+        if not (sys.float_info.min <= far and near < math.inf):
+            raise ValueError(
+                f"m = {self.m!r}, h = {self.h!r} give level sizes from {far!r} "
+                f"(nine ticks out) to {near!r}; both must be finite positive "
+                "normal floats")
         if not 0.0 <= self.collision_probability <= 1.0:
             raise ValueError("collision_probability must be in [0, 1]")
         if self.steps < 1:

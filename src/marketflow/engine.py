@@ -10,6 +10,7 @@ from .agents import GENERATOR_NAME, AgentSampler
 from .book import OrderBook, apply_order, init_book, reconcile
 from .config import SimConfig
 from .physics import (
+    DegenerateBookError,
     TickRecord,
     classify_flow,
     collision_ratio,
@@ -35,47 +36,50 @@ class SeriesBundle:
 
 
 def step(book: OrderBook, sampler: AgentSampler, config: SimConfig, t: int) -> TickRecord:
-    """Sample one agent, apply it, and read out the tick physics."""
-    agent = sampler.sample(book)
-    outcome = apply_order(book, agent)
-    book.check()
+    """Sample one agent, apply it, and read out the tick physics. A
+    `DegenerateBookError` is re-raised with a `tick N: ` prefix."""
+    try:
+        agent = sampler.sample(book)
+        outcome = apply_order(book, agent)
+        book.check()
 
-    v_t = outcome.price_change
-    mid_after = book.mid
-    mid_before = mid_after - v_t
-    p = config.collision_probability
-    if p >= 1.0:
-        # closed form rejects the saturated limit; take it explicitly
-        nr = 0.0 if v_t == 0.0 else math.inf
-    else:
-        nr = reynolds_closed_form(v_t, float(outcome.spread_before), p)
+        v_t = outcome.price_change
+        mid_after = book.mid
+        mid_before = mid_after - v_t
+        p = config.collision_probability
+        if p >= 1.0:
+            # closed form rejects the saturated limit; take it explicitly
+            nr = 0.0 if v_t == 0.0 else math.inf
+        else:
+            nr = reynolds_closed_form(v_t, float(outcome.spread_before), p)
 
-    volume = outcome.traded_volume
-    # outcomes carry notionals (size * price already folded), so the
-    # density calls pass a unit price
-    return TickRecord(
-        t=t,
-        bid=book.bid,
-        ask=book.ask,
-        mid=mid_after,
-        ret=v_t / mid_before,
-        v_t=v_t,
-        spread=outcome.spread_before,
-        volume=volume,
-        rho_obstacle=obstacle_density(outcome.obstacle_notional, 1.0, volume),
-        rho_fluid=fluid_density(outcome.order_notional, 1.0, volume),
-        mu=viscosity(outcome),
-        p_hat=collision_ratio(outcome),
-        reynolds=nr,
-        reynolds_realized=reynolds_tick(outcome),
-        regime=classify_flow(nr),
-    )
+        volume = outcome.traded_volume
+        # outcomes carry notionals (size * price already folded), so the
+        # density calls pass a unit price
+        return TickRecord(
+            t=t,
+            bid=book.bid,
+            ask=book.ask,
+            mid=mid_after,
+            ret=v_t / mid_before,
+            v_t=v_t,
+            spread=outcome.spread_before,
+            volume=volume,
+            rho_obstacle=obstacle_density(outcome.obstacle_notional, 1.0, volume),
+            rho_fluid=fluid_density(outcome.order_notional, 1.0, volume),
+            mu=viscosity(outcome),
+            p_hat=collision_ratio(outcome),
+            reynolds=nr,
+            reynolds_realized=reynolds_tick(outcome),
+            regime=classify_flow(nr),
+        )
+    except DegenerateBookError as exc:
+        raise DegenerateBookError(f"tick {t}: {exc}") from exc
 
 
 def run(config: SimConfig) -> SeriesBundle:
     """Initialize, iterate `steps` ticks, smooth, and bundle the result."""
-    config.validate()
-    book = init_book(config)
+    book = init_book(config)  # validates the config
     sampler = AgentSampler(config.collision_probability, config.m, config.h, config.seed)
     ticks = [step(book, sampler, config, t) for t in range(config.steps)]
 

@@ -18,7 +18,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class DegenerateBookError(ValueError):
-    """Raised when a computation meets an obstacle with zero notional."""
+    """Raised when the book breaks an invariant (a non-positive size, a
+    crossed book) or a computation meets an obstacle with zero notional."""
 
 
 class FlowRegime(Enum):

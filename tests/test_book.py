@@ -9,10 +9,9 @@ from marketflow.book import (
     apply_order,
     init_book,
     reconcile,
-    regenerate_levels,
 )
 from marketflow.config import SimConfig
-from marketflow.physics import size_at
+from marketflow.physics import DegenerateBookError, size_at
 
 
 def _book(**kwargs):
@@ -142,11 +141,6 @@ class TestActiveOrders:
 
 
 class TestRegeneration:
-    def test_requires_the_nine_level_state(self):
-        book = _book()
-        with pytest.raises(ValueError):
-            regenerate_levels(book, Side.SELL, 2000.0, 10.0)
-
     def test_buy_side_extends_downward(self):
         book = _book()
         bid_size = book.size_of(Side.BUY, 3681)
@@ -155,6 +149,14 @@ class TestRegeneration:
         assert buys[-1] == 3671
         assert book.size_of(Side.BUY, 3671) == \
             size_at(3671, 3680, 3682, 2000.0, 10.0)
+
+
+class TestCheck:
+    def test_non_positive_size_is_a_typed_error(self):
+        book = _book()
+        apply_order(book, FluidAgent(Side.BUY, 3678, -1e6))
+        with pytest.raises(DegenerateBookError, match="buy level 3678"):
+            book.check()
 
 
 class TestSpreadDirection:

@@ -77,6 +77,22 @@ def test_bad_config_returns_error_code(tmp_path, capsys):
     assert "stepz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m,h", [
+    (2000.0, 0.1),         # the kernel underflows inside the book
+    (2000.0, 1e-200),      # h**3 underflows to zero
+    (1e-320, 10.0),        # sizes underflow to zero
+    (float("inf"), 10.0),  # infinite sizes
+    (1.7e308, 0.5),        # the nearest sizes overflow
+])
+def test_doomed_kernel_config_is_rejected(tmp_path, capsys, m, h):
+    with pytest.raises(ValueError):
+        SimConfig(m=m, h=h).validate()
+    code = main(["simulate", "--mass", str(m), "--smoothing-length", str(h),
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_batch_writes_summary_rows(tmp_path):
     out = tmp_path / "run"
     code = main(["batch", "--out", str(out), "--steps", "15",

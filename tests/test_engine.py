@@ -8,7 +8,7 @@ import pytest
 from marketflow.book import reconcile
 from marketflow.config import SimConfig
 from marketflow.engine import run, smooth_series, smooth_viscosity
-from marketflow.physics import FlowRegime
+from marketflow.physics import DegenerateBookError, FlowRegime
 
 
 class TestSmoothViscosity:
@@ -153,6 +153,11 @@ class TestRun:
             run(SimConfig(steps=0))
         with pytest.raises(ValueError):
             run(SimConfig(collision_probability=1.5))
+
+    def test_degenerate_book_error_names_the_tick(self):
+        # a bid of 1 reaches price 0, where the obstacle notional vanishes
+        with pytest.raises(DegenerateBookError, match=r"^tick \d+:"):
+            run(SimConfig(initial_bid=1))
 
     def test_returns_are_scaled_mid_changes(self):
         bundle = run(SimConfig(steps=80, seed=21))
