@@ -24,6 +24,13 @@ SERIES_SHA256 = {
 
 BATCH_SHA256 = "ab97964472a9a67d7719ba4234a23dae9a099a585759043b2a2ea7b1229149bf"
 
+# (seed, P, window, steps): a window far above the default 20, and the
+# saturated P = 1 branch, where every Reynolds value is inf.
+WIDE_SHA256 = {
+    (3, 0.5, 200, 2000): "5a37f38dbc307cebf2da5724b765df4f93324a133fe21397410e69f07f8da912",
+    (1, 1.0, 50, 600): "e91b0354e24d9a2d8cae2a6edf982716bac3c856d116c1a99fee5e628f6dfbe6",
+}
+
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -36,6 +43,15 @@ def test_series_csv_bytes(tmp_path, seed, p, spread):
                  "--out", str(tmp_path)])
     assert code == 0
     assert _sha256(tmp_path / "series.csv") == SERIES_SHA256[seed, p, spread]
+
+
+@pytest.mark.parametrize("seed,p,window,steps", sorted(WIDE_SHA256))
+def test_series_csv_bytes_wide_window(tmp_path, seed, p, window, steps):
+    code = main(["simulate", "--seed", str(seed), "--collision-probability", str(p),
+                 "--window", str(window), "--steps", str(steps),
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert _sha256(tmp_path / "series.csv") == WIDE_SHA256[seed, p, window, steps]
 
 
 def test_batch_csv_bytes(tmp_path):
