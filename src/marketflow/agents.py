@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .book import FluidAgent, OrderBook, Side
-from .physics import size_at
+from .book import BUY, SELL, FluidAgent, OrderBook, Side
+from .physics import SizeMemo
 
 GENERATOR_NAME = "numpy PCG64"
 
@@ -27,21 +27,24 @@ class AgentSampler:
         self.h = h
         self.seed = seed
         self.rng = np.random.default_rng(seed)
+        self._random = self.rng.random
+        self._integers = self.rng.integers
+        self._sizes = SizeMemo(m, h)
 
     def sample_side(self) -> Side:
-        return Side.BUY if self.rng.random() < 0.5 else Side.SELL
+        return BUY if self._random() < 0.5 else SELL
 
     def sample_price(self, book: OrderBook, side: Side) -> int:
-        if self.rng.random() < self.collision_probability:
-            return book.ask if side is Side.BUY else book.bid
-        depth = int(self.rng.integers(0, 10))
-        return book.bid - depth if side is Side.BUY else book.ask + depth
+        if self._random() < self.collision_probability:
+            return book.ask if side is BUY else book.bid
+        depth = int(self._integers(0, 10))
+        return book.bid - depth if side is BUY else book.ask + depth
 
     def sample_size(self, price: int, book: OrderBook) -> float:
         # deterministic given the quotes: no extra noise on top of the kernel
-        return size_at(price, book.bid, book.ask, self.m, self.h)
+        return self._sizes.size_at(price, book.bid, book.ask)
 
     def sample(self, book: OrderBook) -> FluidAgent:
         side = self.sample_side()
         price = self.sample_price(book, side)
-        return FluidAgent(side=side, price=price, size=self.sample_size(price, book))
+        return FluidAgent(side, price, self.sample_size(price, book))

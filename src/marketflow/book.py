@@ -17,16 +17,17 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .config import SimConfig
-from .physics import DegenerateBookError, size_at
+from .physics import DegenerateBookError, SizeMemo
 
 
 class Side(Enum):
     BUY = "buy"
     SELL = "sell"
 
-    @property
-    def other(self) -> "Side":
-        return Side.SELL if self is Side.BUY else Side.BUY
+
+# Module-level members for the hot paths: `Side.BUY` is a Python-level
+# Enum descriptor lookup, a global is a dict hit.
+BUY, SELL = Side
 
 
 @dataclass
@@ -35,7 +36,7 @@ class PriceLevel:
     size: float
 
 
-@dataclass
+@dataclass(slots=True)
 class FluidAgent:
     """One incoming financial agent: side, integer price, positive size."""
 
@@ -44,7 +45,7 @@ class FluidAgent:
     size: float
 
 
-@dataclass
+@dataclass(slots=True)
 class InteractionOutcome:
     """What one agent did to the book.
 
@@ -58,6 +59,9 @@ class InteractionOutcome:
     obstacle_notional: float
     order_notional: float
     collision: bool
+
+
+_positive = (0.0).__lt__  # a C predicate for check()'s common case
 
 
 class OrderBook:
@@ -74,19 +78,20 @@ class OrderBook:
         self.h = h
         self.bid = bid
         self.ask = ask
+        self._sizes = SizeMemo(m, h)
         # Each side's prices, shifted only when its quote moves, so the
         # journal holds one shared int object per level.
         self._buy_ticks = [bid - i for i in range(10)]
         self._sell_ticks = [ask + i for i in range(10)]
-        self.buy_sizes = [size_at(p, bid, ask, m, h) for p in self._buy_ticks]
-        self.sell_sizes = [size_at(p, bid, ask, m, h) for p in self._sell_ticks]
+        self.buy_sizes = [self._sizes.size_at(p, bid, ask) for p in self._buy_ticks]
+        self.sell_sizes = [self._sizes.size_at(p, bid, ask) for p in self._sell_ticks]
         self.journal: list[tuple[str, Side, int, float]] = [
             ("init", side, lv.price, lv.size)
-            for side in (Side.BUY, Side.SELL) for lv in self.levels(side)]
+            for side in (BUY, SELL) for lv in self.levels(side)]
 
     def _side(self, side: Side) -> tuple[list[float], list[int], int]:
         """(sizes, prices, outward tick step) of one side."""
-        if side is Side.BUY:
+        if side is BUY:
             return self.buy_sizes, self._buy_ticks, -1
         return self.sell_sizes, self._sell_ticks, 1
 
@@ -94,13 +99,9 @@ class OrderBook:
     def spread(self) -> int:
         return self.ask - self.bid
 
-    @property
-    def mid(self) -> float:
-        return (self.bid + self.ask) / 2.0
-
     def depth(self, side: Side, price: int) -> int:
         """Ticks from the side's best quote out to `price`."""
-        return self.bid - price if side is Side.BUY else price - self.ask
+        return self.bid - price if side is BUY else price - self.ask
 
     def prices(self, side: Side) -> list[int]:
         return list(self._side(side)[1])
@@ -135,17 +136,28 @@ class OrderBook:
         size = sizes.pop(0)
         price = ticks.pop(0)
         self.journal.append(("consume", side, price, size))
-        ticks.append(ticks[-1] + step)
+        far = ticks[-1] + step
+        ticks.append(far)
         self.bid, self.ask = self._buy_ticks[0], self._sell_ticks[0]
-        sizes.append(size_at(ticks[-1], self.bid, self.ask, self.m, self.h))
-        self.journal.append(("regen", side, ticks[-1], sizes[-1]))
+        far_size = self._sizes.size_at(far, self.bid, self.ask)
+        sizes.append(far_size)
+        self.journal.append(("regen", side, far, far_size))
         return size
 
     # --- invariants -----------------------------------------------------
 
     def check(self) -> None:
-        """Ten positive sizes per side and an uncrossed book."""
-        for side in (Side.BUY, Side.SELL):
+        """Ten positive sizes per side and an uncrossed book.
+
+        The common case is decided in C; only a failure walks the levels
+        to name the offending side and price. `0.0 < size` is false for
+        zero, negative and NaN sizes alike.
+        """
+        buys, sells = self.buy_sizes, self.sell_sizes
+        if (len(buys) == 10 and len(sells) == 10 and self.bid < self.ask
+                and all(map(_positive, buys)) and all(map(_positive, sells))):
+            return
+        for side in (BUY, SELL):
             sizes, ticks, _ = self._side(side)
             if len(sizes) != 10:
                 raise DegenerateBookError(
@@ -175,42 +187,42 @@ def apply_order(book: OrderBook, agent: FluidAgent) -> InteractionOutcome:
     full fill rests on the sell side's new best level, a sell residual
     on the buy side's new best.
     """
-    own = agent.side
-    opp = own.other
-    opposite_best = book.ask if own is Side.BUY else book.bid
-    active = agent.price == opposite_best
-    depth = book.depth(own, agent.price)
-    if not active and not 0 <= depth < 10:
-        raise ValueError(
-            f"{own.value} price {agent.price} is neither the opposite best "
-            f"nor a resting {own.value} level")
-
-    mid_before = book.mid
-    spread_before = book.spread
-    obstacle_size = book.size_of(opp, opposite_best)
+    own, price, size = agent.side, agent.price, agent.size
+    bid, ask = book.bid, book.ask
+    if own is BUY:
+        opp, opposite_best, depth = SELL, ask, bid - price
+        obstacle_size = book.sell_sizes[0]
+    else:
+        opp, opposite_best, depth = BUY, bid, price - ask
+        obstacle_size = book.buy_sizes[0]
+    spread_before = ask - bid
     obstacle_notional = obstacle_size * opposite_best
-    order_notional = agent.size * agent.price
+    order_notional = size * price
 
-    if not active:
-        book.add_size(own, depth, agent.size, "passive")
-        return InteractionOutcome(
-            traded_volume=0.0, price_change=0.0, spread_before=spread_before,
-            obstacle_notional=obstacle_notional, order_notional=order_notional,
-            collision=False)
+    if price != opposite_best:
+        if not 0 <= depth < 10:
+            raise ValueError(
+                f"{own.value} price {price} is neither the opposite best "
+                f"nor a resting {own.value} level")
+        book.add_size(own, depth, size, "passive")
+        return InteractionOutcome(0.0, 0.0, spread_before, obstacle_notional,
+                                  order_notional, False)
 
-    if agent.size >= obstacle_size:
+    if size >= obstacle_size:
         volume = book.consume_best(opp)
-        residual = agent.size - volume
+        residual = size - volume
         if residual > 0.0:
             book.add_size(opp, 0, residual, "residual")
     else:
-        volume = agent.size
+        volume = size
         book.take_best(opp, volume)
 
-    return InteractionOutcome(
-        traded_volume=volume, price_change=book.mid - mid_before,
-        spread_before=spread_before, obstacle_notional=obstacle_notional,
-        order_notional=order_notional, collision=True)
+    price_change = (book.bid + book.ask) / 2.0 - (bid + ask) / 2.0
+    return InteractionOutcome(volume, price_change, spread_before,
+                              obstacle_notional, order_notional, True)
+
+
+_TAGS = ("init", "passive", "residual", "regen", "trade", "consume")
 
 
 @dataclass
@@ -235,30 +247,41 @@ def reconcile(book: OrderBook) -> ReconcileReport:
     same amounts in a different association and is reported as a gap,
     which is zero only up to float rounding.
     """
-    sizes: dict[Side, dict[int, float]] = {Side.BUY: {}, Side.SELL: {}}
-    agg = {name: {Side.BUY: 0.0, Side.SELL: 0.0}
-           for name in ("init", "passive", "residual", "regen", "trade", "consume")}
+    # The loop picks each side's dicts by identity: indexing a Side-keyed
+    # dict per entry would hash an Enum, which is Python-level.
+    buy_sizes: dict[int, float] = {}
+    sell_sizes: dict[int, float] = {}
+    buy_agg, sell_agg = dict.fromkeys(_TAGS, 0.0), dict.fromkeys(_TAGS, 0.0)
     for op, side, price, amount in book.journal:
-        agg[op][side] += amount
-        if op in ("init", "regen"):
-            sizes[side][price] = amount
-        elif op in ("passive", "residual"):
-            sizes[side][price] += amount
+        if side is BUY:
+            sizes, totals = buy_sizes, buy_agg
+        else:
+            sizes, totals = sell_sizes, sell_agg
+        totals[op] += amount
+        if op == "init" or op == "regen":
+            sizes[price] = amount
+        elif op == "passive" or op == "residual":
+            sizes[price] += amount
         elif op == "trade":
-            sizes[side][price] -= amount
+            sizes[price] -= amount
         elif op == "consume":
-            del sizes[side][price]
+            del sizes[price]
 
-    live = {side: {lv.price: lv.size for lv in book.levels(side)}
-            for side in (Side.BUY, Side.SELL)}
+    live = {BUY: dict(zip(book._buy_ticks, book.buy_sizes)),
+            SELL: dict(zip(book._sell_ticks, book.sell_sizes))}
+    agg = {BUY: buy_agg, SELL: sell_agg}
     gap = {}
-    for side in (Side.BUY, Side.SELL):
-        expected = (agg["init"][side] + agg["passive"][side] + agg["residual"][side]
-                    + agg["regen"][side] - agg["trade"][side] - agg["consume"][side])
+    for side, a in agg.items():
+        expected = (a["init"] + a["passive"] + a["residual"] + a["regen"]
+                    - a["trade"] - a["consume"])
         gap[side] = abs(sum(live[side].values()) - expected)
 
-    removed = {s: agg["trade"][s] + agg["consume"][s] for s in (Side.BUY, Side.SELL)}
+    def by_side(tag: str) -> dict[Side, float]:
+        return {side: a[tag] for side, a in agg.items()}
+
+    removed = {side: a["trade"] + a["consume"] for side, a in agg.items()}
     return ReconcileReport(
-        exact=sizes == live, initial=agg["init"], passive_added=agg["passive"],
-        residual_added=agg["residual"], regen_added=agg["regen"],
-        traded_removed=removed, identity_gap=gap)
+        exact=buy_sizes == live[BUY] and sell_sizes == live[SELL],
+        initial=by_side("init"),
+        passive_added=by_side("passive"), residual_added=by_side("residual"),
+        regen_added=by_side("regen"), traded_removed=removed, identity_gap=gap)

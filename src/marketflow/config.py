@@ -50,6 +50,15 @@ class SimConfig:
             raise ValueError("collision_probability must be in [0, 1]")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        # The bid never rises and the ask rises at most one tick per tick,
+        # so bid + ask stays below this sum; under 2**53 every half-tick
+        # mid (bid + ask) / 2.0, and with it every v_T, is exact.
+        if 2 * self.initial_bid + self.initial_spread + self.steps >= 2**53:
+            raise ValueError(
+                f"initial_bid = {self.initial_bid}, initial_spread = "
+                f"{self.initial_spread}, steps = {self.steps}: 2 * initial_bid "
+                "+ initial_spread + steps must stay below 2**53, or mid prices "
+                "lose their half ticks")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         # smoothing_window may exceed steps; the moving average truncates

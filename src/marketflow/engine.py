@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import __version__
 from .agents import GENERATOR_NAME, AgentSampler
 from .book import OrderBook, apply_order, init_book, reconcile
@@ -43,35 +45,33 @@ def step(book: OrderBook, sampler: AgentSampler, config: SimConfig, t: int) -> T
         outcome = apply_order(book, agent)
         book.check()
 
+        bid, ask = book.bid, book.ask
         v_t = outcome.price_change
-        mid_after = book.mid
+        mid_after = (bid + ask) / 2.0
         mid_before = mid_after - v_t
+        spread = outcome.spread_before
         p = config.collision_probability
         if p >= 1.0:
             # closed form rejects the saturated limit; take it explicitly
             nr = 0.0 if v_t == 0.0 else math.inf
         else:
-            nr = reynolds_closed_form(v_t, float(outcome.spread_before), p)
+            nr = reynolds_closed_form(v_t, float(spread), p)
 
         volume = outcome.traded_volume
-        # outcomes carry notionals (size * price already folded), so the
-        # density calls pass a unit price
+        # Positional, in field order: keyword calls into a dataclass
+        # __init__ cost several times more. Outcomes carry notionals (size
+        # * price already folded), so the density calls pass a unit price.
         return TickRecord(
-            t=t,
-            bid=book.bid,
-            ask=book.ask,
-            mid=mid_after,
-            ret=v_t / mid_before,
-            v_t=v_t,
-            spread=outcome.spread_before,
-            volume=volume,
-            rho_obstacle=obstacle_density(outcome.obstacle_notional, 1.0, volume),
-            rho_fluid=fluid_density(outcome.order_notional, 1.0, volume),
-            mu=viscosity(outcome),
-            p_hat=collision_ratio(outcome),
-            reynolds=nr,
-            reynolds_realized=reynolds_tick(outcome),
-            regime=classify_flow(nr),
+            t, bid, ask, mid_after,
+            v_t / mid_before,                                     # ret
+            v_t, spread, volume,
+            obstacle_density(outcome.obstacle_notional, 1.0, volume),
+            fluid_density(outcome.order_notional, 1.0, volume),
+            viscosity(outcome),                                   # mu
+            collision_ratio(outcome),                             # p_hat
+            nr,                                                   # reynolds
+            reynolds_tick(outcome),                               # reynolds_realized
+            classify_flow(nr),                                    # regime
         )
     except DegenerateBookError as exc:
         raise DegenerateBookError(f"tick {t}: {exc}") from exc
@@ -105,14 +105,24 @@ def run(config: SimConfig) -> SeriesBundle:
 
 
 def _trailing_mean(values: list[float], window: int) -> list[float]:
+    """Mean of each entry's trailing window, truncated at the head.
+
+    Each window is summed from 0.0, oldest entry first, then divided by
+    its length: `acc = 0.0; for x in chunk: acc += x` done for all rows
+    at once, one vector add per offset. That is the order 3.11's `sum()`
+    adds in, bit for bit; 3.12's compensated `sum()` would differ in the
+    low bits.
+    """
     if window < 1:
         raise ValueError("window must be >= 1")
-    out = []
-    for i in range(len(values)):
-        lo = max(0, i - window + 1)
-        chunk = values[lo:i + 1]
-        out.append(sum(chunk) / len(chunk))
-    return out
+    x = np.array(values, dtype=float)
+    n = len(x)
+    window = min(window, n)  # also keeps a huge window inside int64
+    acc = np.zeros(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and inf - inf
+        for k in range(window - 1, -1, -1):
+            acc[k:] += x[:n - k]
+    return (acc / np.minimum(np.arange(1, n + 1), window)).tolist()
 
 
 def smooth_viscosity(raw: list[float], clamp: float, window: int) -> list[float]:

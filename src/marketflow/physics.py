@@ -28,6 +28,10 @@ class FlowRegime(Enum):
     TURBULENT = "turbulent"
 
 
+# Module-level members: attribute access on an Enum class is Python-level.
+_LAMINAR, _TRANSITIONAL, _TURBULENT = FlowRegime
+
+
 LAMINAR_BELOW = 2300.0
 TURBULENT_ABOVE = 2900.0
 
@@ -47,6 +51,24 @@ def kernel_weight(r: float, h: float) -> float:
 def size_at(price: float, bid: float, ask: float, m: float, h: float) -> float:
     """Size coordinate at a price: kernel mass from both quote anchors."""
     return m * (kernel_weight(price - bid, h) + kernel_weight(price - ask, h))
+
+
+class SizeMemo(dict):
+    """`size_at` for one (m, h), with `kernel_weight(r, h)` memoised by
+    integer tick offset r: the same float operations, so the same bits.
+    Keep one per run; it grows with the spread."""
+
+    def __init__(self, m: float, h: float):
+        super().__init__()
+        self.m = m
+        self.h = h
+
+    def __missing__(self, r: int) -> float:
+        weight = self[r] = kernel_weight(r, self.h)
+        return weight
+
+    def size_at(self, price: int, bid: int, ask: int) -> float:
+        return self.m * (self[price - bid] + self[price - ask])
 
 
 def obstacle_density(s_obstacle: float, p_obstacle: float, volume: float) -> float:
@@ -121,13 +143,13 @@ def classify_flow(n_r: float) -> FlowRegime:
     """Laminar below 2300, turbulent above 2900, transitional between
     (both boundary values included)."""
     if n_r < LAMINAR_BELOW:
-        return FlowRegime.LAMINAR
+        return _LAMINAR
     if n_r > TURBULENT_ABOVE:
-        return FlowRegime.TURBULENT
-    return FlowRegime.TRANSITIONAL
+        return _TURBULENT
+    return _TRANSITIONAL
 
 
-@dataclass
+@dataclass(slots=True)
 class TickRecord:
     """Physics readout of one simulation step.
 

@@ -159,6 +159,25 @@ class TestCheck:
             book.check()
 
 
+    @pytest.mark.parametrize("size", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("depth", [0, 5, 9])
+    @pytest.mark.parametrize("side", [Side.BUY, Side.SELL])
+    def test_every_level_is_checked(self, side, depth, size):
+        book = _book()
+        price = 3681 - depth if side is Side.BUY else 3682 + depth
+        (book.buy_sizes if side is Side.BUY else book.sell_sizes)[depth] = size
+        with pytest.raises(DegenerateBookError,
+                           match=f"^{side.value} level {price} "):
+            book.check()
+
+    def test_crossed_book_is_a_typed_error(self):
+        book = _book()
+        book.ask = book.bid
+        with pytest.raises(DegenerateBookError,
+                           match="crossed: bid 3681 >= ask 3681"):
+            book.check()
+
+
 class TestSpreadDirection:
     def test_spread_never_narrows(self):
         config = SimConfig(collision_probability=0.7, seed=5)

@@ -93,6 +93,22 @@ def test_doomed_kernel_config_is_rejected(tmp_path, capsys, m, h):
     assert "error:" in capsys.readouterr().err
 
 
+def test_bid_beyond_exact_half_ticks_is_rejected(tmp_path, capsys):
+    # at 1e17 a half tick is below float resolution: the mid would stand
+    # still while the quotes move
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        SimConfig(initial_bid=10**17, steps=200).validate()
+    code = main(["simulate", "--bid", "100000000000000000",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    # the largest accepted bid still gives exact mids
+    bid = (2**53 - 1 - 1 - 450) // 2
+    SimConfig(initial_bid=bid).validate()
+    with pytest.raises(ValueError):
+        SimConfig(initial_bid=bid + 1).validate()
+
+
 def test_batch_writes_summary_rows(tmp_path):
     out = tmp_path / "run"
     code = main(["batch", "--out", str(out), "--steps", "15",

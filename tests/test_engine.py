@@ -1,6 +1,7 @@
 """Unit tests for the simulation loop and the series treatment."""
 
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -72,6 +73,43 @@ class TestSmoothSeries:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             smooth_series([1.0], window=0)
+
+
+class TestExactOrderSmoothing:
+    """The moving average adds each window oldest first from 0.0, the
+    order of a plain loop; `sum()` is no reference, since it compensates
+    on Python 3.12+."""
+
+    @staticmethod
+    def _reference(values, window):
+        out = []
+        for i in range(len(values)):
+            chunk = values[max(0, i - window + 1):i + 1]
+            acc = 0.0
+            for x in chunk:
+                acc += x
+            out.append(acc / len(chunk))
+        return out
+
+    @staticmethod
+    def _values(n):
+        rng = random.Random(20)
+        values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8)
+                  for _ in range(n)]
+        # a few infinities late, so even the widest windows have a long
+        # finite stretch before them
+        for i in rng.sample(range(4 * n // 5, n), 3):
+            values[i] = math.inf
+        return values
+
+    @pytest.mark.parametrize("window", [1, 2, 20, 300, 301, 1000, 10**20])
+    def test_matches_a_left_to_right_loop(self, window):
+        values = self._values(300)
+        assert [v.hex() for v in smooth_series(values, window)] == \
+            [v.hex() for v in self._reference(values, window)]
+
+    def test_empty_series(self):
+        assert smooth_series([], window=5) == []
 
 
 class TestRun:
