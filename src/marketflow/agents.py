@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .book import BUY, SELL, FluidAgent, OrderBook, Side
-from .physics import SizeMemo
 
 GENERATOR_NAME = "numpy PCG64"
 
@@ -13,23 +12,19 @@ GENERATOR_NAME = "numpy PCG64"
 class AgentSampler:
     """Draws one agent per tick: equiprobable side, then a price that is
     the opposite best quote with the collision probability or else one
-    of the ten own-side levels uniformly, then the kernel size at that
-    price. All draws come from a single seeded generator, so an
+    of the ten own-side levels uniformly, then the book's kernel size at
+    that price. All draws come from a single seeded generator, so an
     identical seed against an identical book sequence reproduces the
     identical agent sequence.
     """
 
-    def __init__(self, collision_probability: float, m: float, h: float, seed: int = 0):
+    def __init__(self, collision_probability: float, seed: int = 0):
         if not 0.0 <= collision_probability <= 1.0:
             raise ValueError("collision_probability must be in [0, 1]")
         self.collision_probability = collision_probability
-        self.m = m
-        self.h = h
-        self.seed = seed
-        self.rng = np.random.default_rng(seed)
-        self._random = self.rng.random
-        self._integers = self.rng.integers
-        self._sizes = SizeMemo(m, h)
+        rng = np.random.default_rng(seed)
+        self._random = rng.random
+        self._integers = rng.integers
 
     def sample_side(self) -> Side:
         return BUY if self._random() < 0.5 else SELL
@@ -42,7 +37,7 @@ class AgentSampler:
 
     def sample_size(self, price: int, book: OrderBook) -> float:
         # deterministic given the quotes: no extra noise on top of the kernel
-        return self._sizes.size_at(price, book.bid, book.ask)
+        return book.size_at(price)
 
     def sample(self, book: OrderBook) -> FluidAgent:
         side = self.sample_side()

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .config import SimConfig
-from .physics import DegenerateBookError, SizeMemo
+from .physics import DegenerateBookError, kernel_weight
 
 
 class Side(Enum):
@@ -64,18 +64,37 @@ class InteractionOutcome:
 _positive = (0.0).__lt__  # a C predicate for check()'s common case
 
 
+class SizeMemo(dict):
+    """`physics.size_at` for one (m, h), with `kernel_weight(r, h)`
+    memoised by integer tick offset r: the same float operations, so the
+    same bits. The book keeps the run's only one; it grows with the
+    spread."""
+
+    def __init__(self, m: float, h: float):
+        super().__init__()
+        self.m = m
+        self.h = h
+
+    def __missing__(self, r: int) -> float:
+        weight = self[r] = kernel_weight(r, self.h)
+        return weight
+
+    def size_at(self, price: int, bid: int, ask: int) -> float:
+        return self.m * (self[price - bid] + self[price - ask])
+
+
 class OrderBook:
     """Two quotes and ten sizes per side, indexed by depth from the best.
 
     Level i sits at `bid - i` on the buy side and `ask + i` on the sell
     side, so ordering, contiguity and the level count hold by
     construction. Passive orders add to sizes, partial fills shrink
-    them, and the journal records each of those float operations.
+    them, and the journal records each of those float operations. The
+    book holds the run's kernel (m, h): `size_at` sizes its own levels
+    and the sampler's agents.
     """
 
     def __init__(self, bid: int, ask: int, m: float, h: float):
-        self.m = m
-        self.h = h
         self.bid = bid
         self.ask = ask
         self._sizes = SizeMemo(m, h)
@@ -83,8 +102,8 @@ class OrderBook:
         # journal holds one shared int object per level.
         self._buy_ticks = [bid - i for i in range(10)]
         self._sell_ticks = [ask + i for i in range(10)]
-        self.buy_sizes = [self._sizes.size_at(p, bid, ask) for p in self._buy_ticks]
-        self.sell_sizes = [self._sizes.size_at(p, bid, ask) for p in self._sell_ticks]
+        self.buy_sizes = [self.size_at(p) for p in self._buy_ticks]
+        self.sell_sizes = [self.size_at(p) for p in self._sell_ticks]
         self.journal: list[tuple[str, Side, int, float]] = [
             ("init", side, lv.price, lv.size)
             for side in (BUY, SELL) for lv in self.levels(side)]
@@ -94,6 +113,10 @@ class OrderBook:
         if side is BUY:
             return self.buy_sizes, self._buy_ticks, -1
         return self.sell_sizes, self._sell_ticks, 1
+
+    def size_at(self, price: int) -> float:
+        """Kernel size at `price` against the current quotes."""
+        return self._sizes.size_at(price, self.bid, self.ask)
 
     @property
     def spread(self) -> int:
@@ -139,7 +162,7 @@ class OrderBook:
         far = ticks[-1] + step
         ticks.append(far)
         self.bid, self.ask = self._buy_ticks[0], self._sell_ticks[0]
-        far_size = self._sizes.size_at(far, self.bid, self.ask)
+        far_size = self.size_at(far)
         sizes.append(far_size)
         self.journal.append(("regen", side, far, far_size))
         return size

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import get_type_hints
 
 from .physics import kernel_weight
 
@@ -70,22 +71,17 @@ class SimConfig:
         return self
 
 
-CONFIG_FIELDS: dict[str, type] = {f.name: f.type for f in fields(SimConfig)}
-
-_INT_FIELDS = {"initial_bid", "initial_spread", "steps", "seed", "smoothing_window"}
-_FLOAT_FIELDS = {"m", "h", "collision_probability", "viscosity_clamp"}
+# Field name -> int or float, read from SimConfig's annotations.
+CONFIG_FIELDS: dict[str, type] = get_type_hints(SimConfig)
 
 
 def coerce_field(key: str, raw: str):
     """Parse one config value from text, naming the key on failure."""
-    if key in _INT_FIELDS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(f"invalid integer for {key}: {raw!r}") from None
-    if key in _FLOAT_FIELDS:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ValueError(f"invalid number for {key}: {raw!r}") from None
-    raise ValueError(f"unknown config key: {key}")
+    kind = CONFIG_FIELDS.get(key)
+    if kind is None:
+        raise ValueError(f"unknown config key: {key}")
+    try:
+        return kind(raw)
+    except ValueError:
+        noun = "integer" if kind is int else "number"
+        raise ValueError(f"invalid {noun} for {key}: {raw!r}") from None

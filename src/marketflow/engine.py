@@ -16,10 +16,7 @@ from .physics import (
     TickRecord,
     classify_flow,
     collision_ratio,
-    fluid_density,
-    obstacle_density,
     reynolds_closed_form,
-    reynolds_tick,
     viscosity,
 )
 
@@ -57,20 +54,15 @@ def step(book: OrderBook, sampler: AgentSampler, config: SimConfig, t: int) -> T
         else:
             nr = reynolds_closed_form(v_t, float(spread), p)
 
-        volume = outcome.traded_volume
         # Positional, in field order: keyword calls into a dataclass
-        # __init__ cost several times more. Outcomes carry notionals (size
-        # * price already folded), so the density calls pass a unit price.
+        # __init__ cost several times more.
         return TickRecord(
             t, bid, ask, mid_after,
             v_t / mid_before,                                     # ret
-            v_t, spread, volume,
-            obstacle_density(outcome.obstacle_notional, 1.0, volume),
-            fluid_density(outcome.order_notional, 1.0, volume),
+            v_t, spread, outcome.traded_volume,
             viscosity(outcome),                                   # mu
             collision_ratio(outcome),                             # p_hat
             nr,                                                   # reynolds
-            reynolds_tick(outcome),                               # reynolds_realized
             classify_flow(nr),                                    # regime
         )
     except DegenerateBookError as exc:
@@ -80,7 +72,7 @@ def step(book: OrderBook, sampler: AgentSampler, config: SimConfig, t: int) -> T
 def run(config: SimConfig) -> SeriesBundle:
     """Initialize, iterate `steps` ticks, smooth, and bundle the result."""
     book = init_book(config)  # validates the config
-    sampler = AgentSampler(config.collision_probability, config.m, config.h, config.seed)
+    sampler = AgentSampler(config.collision_probability, config.seed)
     ticks = [step(book, sampler, config, t) for t in range(config.steps)]
 
     report = reconcile(book)

@@ -14,7 +14,7 @@ from dataclasses import fields
 
 from . import __version__
 from .agents import GENERATOR_NAME
-from .config import SimConfig, coerce_field
+from .config import CONFIG_FIELDS, SimConfig, coerce_field
 from .engine import SeriesBundle
 from .sweep import RunSummary, SurfaceGrid
 
@@ -45,7 +45,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> SimC
             values.update(parse_config_lines(fh, source=path))
     if overrides:
         for key, val in overrides.items():
-            if key not in {f.name for f in fields(SimConfig)}:
+            if key not in CONFIG_FIELDS:
                 raise ValueError(f"unknown config key: {key}")
             values[key] = val
     return SimConfig(**values).validate()

@@ -1,4 +1,4 @@
-"""Pure fluid-analogy formulas: kernel, densities, viscosity, Reynolds.
+"""Pure fluid-analogy formulas: kernel, viscosity, Reynolds.
 
 All functions are stateless. Singular inputs produce extended-real
 outputs (math.inf) instead of exceptions, because both infinite limits
@@ -53,38 +53,6 @@ def size_at(price: float, bid: float, ask: float, m: float, h: float) -> float:
     return m * (kernel_weight(price - bid, h) + kernel_weight(price - ask, h))
 
 
-class SizeMemo(dict):
-    """`size_at` for one (m, h), with `kernel_weight(r, h)` memoised by
-    integer tick offset r: the same float operations, so the same bits.
-    Keep one per run; it grows with the spread."""
-
-    def __init__(self, m: float, h: float):
-        super().__init__()
-        self.m = m
-        self.h = h
-
-    def __missing__(self, r: int) -> float:
-        weight = self[r] = kernel_weight(r, self.h)
-        return weight
-
-    def size_at(self, price: int, bid: int, ask: int) -> float:
-        return self.m * (self[price - bid] + self[price - ask])
-
-
-def obstacle_density(s_obstacle: float, p_obstacle: float, volume: float) -> float:
-    """Resting-side notional per unit traded volume; inf when nothing trades."""
-    if volume == 0.0:
-        return math.inf
-    return s_obstacle * p_obstacle / volume
-
-
-def fluid_density(s_order: float, p_order: float, volume: float) -> float:
-    """Incoming-side notional per unit traded volume; inf when nothing trades."""
-    if volume == 0.0:
-        return math.inf
-    return s_order * p_order / volume
-
-
 def viscosity(outcome: "InteractionOutcome") -> float:
     """Viscosity analog: notional imbalance over (volume * price change).
 
@@ -118,6 +86,8 @@ def reynolds_tick(outcome: "InteractionOutcome") -> float:
 
     r * v_T^2 * l / (1 - r) with r the realized collision ratio.
     Returns 0 when v_T = 0 or r = 0, and +inf when r = 1 with v_T != 0.
+    Runs record the closed form instead; this is the per-notional
+    reference the closed form is checked against.
     """
     r = collision_ratio(outcome)
     v_t = outcome.price_change
@@ -151,13 +121,12 @@ def classify_flow(n_r: float) -> FlowRegime:
 
 @dataclass(slots=True)
 class TickRecord:
-    """Physics readout of one simulation step.
+    """Physics readout of one simulation step: one `series.csv` row
+    before smoothing.
 
     `reynolds` is the closed-form value at the configured collision
     probability with the realized (v_T, l); it is the series that gets
-    smoothed and classified. `reynolds_realized` is the per-tick
-    notional form, which under capped fills collapses to {0, +inf} and
-    is kept for inspection alongside p_hat.
+    smoothed and classified. `p_hat` is the realized collision ratio.
     """
 
     t: int
@@ -168,10 +137,7 @@ class TickRecord:
     v_t: float
     spread: int
     volume: float
-    rho_obstacle: float
-    rho_fluid: float
     mu: float
     p_hat: float
     reynolds: float
-    reynolds_realized: float
     regime: FlowRegime

@@ -8,10 +8,10 @@ The CSV files stay canonical; these figures are a quick visual check.
 from __future__ import annotations
 
 import math
-import os
 
 from .book import Side
 from .engine import SeriesBundle
+from .io import _atomic_write
 from .sweep import SurfaceGrid
 
 PANEL_W = 380
@@ -115,13 +115,13 @@ def series_figure(bundle: SeriesBundle) -> str:
                 f'font-family="sans-serif" text-anchor="middle" fill="#666">'
                 f'no data</text></svg>')
     ts = [float(r.t) for r in bundle.ticks]
+    bids = [float(r.bid) for r in bundle.ticks]
+    asks = [float(r.ask) for r in bundle.ticks]
     bid_ask = "".join((
         _panel_frame(PANEL_W, PANEL_H, "(d) bid / ask"),
-        _polyline(ts, [float(r.bid) for r in bundle.ticks], PANEL_W, PANEL_H, "#4878b0"),
-        _polyline(ts, [float(r.ask) for r in bundle.ticks], PANEL_W, PANEL_H, "#b05048"),
-        _range_labels(PANEL_W, PANEL_H,
-                      [float(r.bid) for r in bundle.ticks] +
-                      [float(r.ask) for r in bundle.ticks]),
+        _polyline(ts, bids, PANEL_W, PANEL_H, "#4878b0"),
+        _polyline(ts, asks, PANEL_W, PANEL_H, "#b05048"),
+        _range_labels(PANEL_W, PANEL_H, bids + asks),
     ))
     body = "".join((
         _depth_panel(bundle, 0, 0),
@@ -189,7 +189,4 @@ def surface_figure(grid: SurfaceGrid) -> str:
 
 
 def write_svg(markup: str, path: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(markup)
-    os.replace(tmp, path)
+    _atomic_write(path, markup)

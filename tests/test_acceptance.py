@@ -158,7 +158,7 @@ def test_criterion_04_sampling_frequencies_within_three_sigma():
     n = 100_000
     failures = []
     for p in (0.15, 0.5, 0.99):
-        sampler = AgentSampler(p, BASE.m, BASE.h, seed=1000 + int(p * 100))
+        sampler = AgentSampler(p, seed=1000 + int(p * 100))
         collisions = 0
         buys = 0
         level_counts = {(side, price): 0

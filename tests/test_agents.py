@@ -25,14 +25,14 @@ def test_generator_identity_is_recorded():
 def test_rejects_probability_outside_unit_interval():
     for p in (-0.01, 1.01):
         with pytest.raises(ValueError):
-            AgentSampler(p, 2000.0, 10.0)
+            AgentSampler(p)
 
 
 def test_same_seed_same_agents():
     book = _static_book()
     draws = []
     for _ in range(2):
-        sampler = AgentSampler(0.4, 2000.0, 10.0, seed=42)
+        sampler = AgentSampler(0.4, seed=42)
         draws.append([(a.side, a.price, a.size)
                       for a in (sampler.sample(book) for _ in range(100))])
     assert draws[0] == draws[1]
@@ -40,15 +40,15 @@ def test_same_seed_same_agents():
 
 def test_different_seeds_differ():
     book = _static_book()
-    a = AgentSampler(0.4, 2000.0, 10.0, seed=1)
-    b = AgentSampler(0.4, 2000.0, 10.0, seed=2)
+    a = AgentSampler(0.4, seed=1)
+    b = AgentSampler(0.4, seed=2)
     seq_a = [(x.side, x.price) for x in (a.sample(book) for _ in range(50))]
     seq_b = [(x.side, x.price) for x in (b.sample(book) for _ in range(50))]
     assert seq_a != seq_b
 
 
 def test_side_frequency_is_balanced():
-    sampler = AgentSampler(0.5, 2000.0, 10.0, seed=7)
+    sampler = AgentSampler(0.5, seed=7)
     n = 10_000
     buys = sum(sampler.sample_side() is Side.BUY for _ in range(n))
     sigma = math.sqrt(0.25 / n)
@@ -57,7 +57,7 @@ def test_side_frequency_is_balanced():
 
 def test_prices_stay_in_the_sample_space():
     book = _static_book()
-    sampler = AgentSampler(0.3, 2000.0, 10.0, seed=9)
+    sampler = AgentSampler(0.3, seed=9)
     for _ in range(2000):
         agent = sampler.sample(book)
         own = set(book.prices(agent.side))
@@ -68,7 +68,7 @@ def test_prices_stay_in_the_sample_space():
 @pytest.mark.parametrize("p", [0.15, 0.99])
 def test_collision_frequency_tracks_the_probability(p):
     book = _static_book()
-    sampler = AgentSampler(p, 2000.0, 10.0, seed=23)
+    sampler = AgentSampler(p, seed=23)
     n = 10_000
     hits = 0
     for _ in range(n):
@@ -81,7 +81,7 @@ def test_collision_frequency_tracks_the_probability(p):
 
 def test_zero_probability_never_collides_and_levels_are_uniform():
     book = _static_book()
-    sampler = AgentSampler(0.0, 2000.0, 10.0, seed=31)
+    sampler = AgentSampler(0.0, seed=31)
     n = 10_000
     counts = {}
     for _ in range(n):
@@ -99,7 +99,7 @@ def test_zero_probability_never_collides_and_levels_are_uniform():
 
 def test_size_is_the_kernel_value_at_the_price():
     book = _static_book()
-    sampler = AgentSampler(0.5, 2000.0, 10.0, seed=3)
+    sampler = AgentSampler(0.5, seed=3)
     for _ in range(200):
         agent = sampler.sample(book)
         assert agent.size == size_at(agent.price, book.bid, book.ask,
@@ -110,7 +110,7 @@ def test_size_is_the_kernel_value_at_the_price():
 def test_collision_size_pin():
     # at the reference configuration the best-quote size is about 0.7148
     book = _static_book()
-    sampler = AgentSampler(1.0, 2000.0, 10.0, seed=0)
+    sampler = AgentSampler(1.0, seed=0)
     agent = sampler.sample(book)
     assert agent.price in (book.bid, book.ask)
     assert abs(agent.size - 0.7148) < 5e-5

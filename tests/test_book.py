@@ -182,7 +182,7 @@ class TestSpreadDirection:
     def test_spread_never_narrows(self):
         config = SimConfig(collision_probability=0.7, seed=5)
         book = init_book(config)
-        sampler = AgentSampler(0.7, config.m, config.h, seed=5)
+        sampler = AgentSampler(0.7, seed=5)
         spread = book.spread
         for _ in range(400):
             apply_order(book, sampler.sample(book))
@@ -196,7 +196,7 @@ class TestLedger:
         for seed in (0, 1, 2):
             config = SimConfig(collision_probability=0.5, seed=seed)
             book = init_book(config)
-            sampler = AgentSampler(0.5, config.m, config.h, seed=seed)
+            sampler = AgentSampler(0.5, seed=seed)
             for _ in range(300):
                 apply_order(book, sampler.sample(book))
             report = reconcile(book)

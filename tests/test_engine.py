@@ -145,7 +145,6 @@ class TestRun:
             assert tick.v_t == 0.0
             assert tick.mu == math.inf
             assert tick.reynolds == 0.0
-            assert tick.reynolds_realized == 0.0
             assert tick.regime is FlowRegime.LAMINAR
         assert bundle.smoothed_mu == [2.0] * 40
         assert bundle.smoothed_reynolds == [0.0] * 40
@@ -155,7 +154,6 @@ class TestRun:
         for tick in bundle.ticks:
             if tick.mu == math.inf:
                 assert tick.reynolds == 0.0
-                assert tick.reynolds_realized == 0.0
 
     def test_smoothed_viscosity_bounded_by_clamp(self):
         bundle = run(SimConfig(steps=200, seed=8))

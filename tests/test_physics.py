@@ -11,9 +11,7 @@ from marketflow.physics import (
     FlowRegime,
     classify_flow,
     collision_ratio,
-    fluid_density,
     kernel_weight,
-    obstacle_density,
     reynolds_closed_form,
     reynolds_tick,
     size_at,
@@ -91,22 +89,6 @@ class TestSizeAt:
 
     def test_vanishes_far_away(self):
         assert size_at(3681 - 90, 3681, 3682, 2000.0, 10.0) < 1e-30
-
-
-class TestDensities:
-    def test_arithmetic(self):
-        assert obstacle_density(10.0, 100.0, 5.0) == 200.0
-        assert fluid_density(5.0, 100.0, 5.0) == 100.0
-
-    def test_zero_volume_is_infinite(self):
-        assert obstacle_density(10.0, 100.0, 0.0) == math.inf
-        assert fluid_density(5.0, 100.0, 0.0) == math.inf
-
-    def test_zero_size(self):
-        assert obstacle_density(0.0, 100.0, 2.0) == 0.0
-
-    def test_equal_inputs_agree(self):
-        assert obstacle_density(7.0, 3.0, 2.0) == fluid_density(7.0, 3.0, 2.0)
 
 
 class TestViscosity:

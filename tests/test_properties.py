@@ -1,0 +1,44 @@
+"""Property test over a bounded configuration space: every config that
+passes `validate()` either completes or stops with the package's typed
+error, which names the tick."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st
+
+from marketflow.config import SimConfig
+from marketflow.engine import run
+from marketflow.physics import DegenerateBookError
+
+# Small bids reach the price floor within 200 ticks, h below about 0.35
+# fails validate() for small m, and bids near 2**52 probe the half-tick
+# bound, so the space holds completed, typed-failure and rejected cases.
+CONFIGS = st.builds(
+    SimConfig,
+    initial_bid=st.integers(1, 2**53),
+    initial_spread=st.integers(1, 40),
+    m=st.floats(1e-3, 1e6),
+    h=st.floats(0.2, 200.0),
+    collision_probability=st.floats(0.0, 1.0),
+    steps=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+    smoothing_window=st.integers(1, 300),
+    viscosity_clamp=st.floats(1e-3, 10.0),
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(CONFIGS)
+def test_valid_config_completes_or_fails_typed(config):
+    try:
+        config.validate()
+    except ValueError:
+        assume(False)
+    try:
+        bundle = run(config)
+    except DegenerateBookError as exc:
+        assert str(exc).startswith("tick ")
+        return
+    assert len(bundle.ticks) == config.steps
+    assert len(bundle.smoothed_mu) == len(bundle.smoothed_reynolds) == config.steps
