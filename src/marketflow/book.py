@@ -255,8 +255,6 @@ class ReconcileReport:
     exact: bool
     initial: dict[Side, float]
     passive_added: dict[Side, float]
-    residual_added: dict[Side, float]
-    regen_added: dict[Side, float]
     traded_removed: dict[Side, float]
     identity_gap: dict[Side, float] = field(default_factory=dict)
 
@@ -306,5 +304,5 @@ def reconcile(book: OrderBook) -> ReconcileReport:
     return ReconcileReport(
         exact=buy_sizes == live[BUY] and sell_sizes == live[SELL],
         initial=by_side("init"),
-        passive_added=by_side("passive"), residual_added=by_side("residual"),
-        regen_added=by_side("regen"), traded_removed=removed, identity_gap=gap)
+        passive_added=by_side("passive"), traded_removed=removed,
+        identity_gap=gap)

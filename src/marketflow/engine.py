@@ -126,8 +126,6 @@ def smooth_viscosity(raw: list[float], clamp: float, window: int) -> list[float]
     finite entry becomes all-clamp; an all-zero finite series stays
     zero, since there is no maximum to divide by.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
     clamped = [clamp if math.isinf(v) else v for v in raw]
     finite = [v for v, orig in zip(clamped, raw) if not math.isinf(orig)]
     peak = max(finite) if finite else 0.0

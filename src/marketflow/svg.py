@@ -37,9 +37,11 @@ def _axis_range(values):
     return lo, hi
 
 
-def _polyline(xs, ys, x0, y0, color):
-    lo_x, hi_x = _axis_range(xs)
-    lo_y, hi_y = _axis_range(ys)
+def _polyline(xs, ys, x_range, y_range, x0, y0, color):
+    """The finite (x, y) points scaled into the panel at (x0, y0); the
+    ranges are `_axis_range` of xs and ys, computed once by the caller."""
+    lo_x, hi_x = x_range
+    lo_y, hi_y = y_range
     inner_w = PANEL_W - PAD_L - PAD_R
     inner_h = PANEL_H - PAD_T - PAD_B
     pts = []
@@ -64,8 +66,8 @@ def _panel_frame(x0, y0, caption):
         f'font-family="sans-serif" fill="#222">{caption}</text>')
 
 
-def _range_labels(x0, y0, values):
-    lo, hi = _axis_range(values)
+def _range_labels(x0, y0, y_range):
+    lo, hi = y_range
     return (
         f'<text x="{x0 + 4}" y="{y0 + PAD_T + 10}" font-size="9" '
         f'font-family="sans-serif" fill="#555">{hi:.4g}</text>'
@@ -89,15 +91,16 @@ def _depth_panel(bundle, x0, y0):
         by = y0 + PANEL_H - PAD_B - bh
         parts.append(f'<rect x="{bx:.2f}" y="{by:.2f}" width="{bar_w * 0.85:.2f}" '
                      f'height="{bh:.2f}" fill="{color}"/>')
-    parts.append(_range_labels(x0, y0, [0.0, peak]))
+    parts.append(_range_labels(x0, y0, _axis_range([0.0, peak])))
     return "".join(parts)
 
 
-def _series_panel(caption, ts, ys, x0, y0, color):
+def _series_panel(caption, ts, t_range, ys, x0, y0, color):
+    y_range = _axis_range(ys)
     return "".join((
         _panel_frame(x0, y0, caption),
-        _polyline(ts, ys, x0, y0, color),
-        _range_labels(x0, y0, ys),
+        _polyline(ts, ys, t_range, y_range, x0, y0, color),
+        _range_labels(x0, y0, y_range),
     ))
 
 
@@ -115,25 +118,27 @@ def series_figure(bundle: SeriesBundle) -> str:
                 f'font-family="sans-serif" text-anchor="middle" fill="#666">'
                 f'no data</text></svg>')
     ts = [float(r.t) for r in bundle.ticks]
+    t_range = _axis_range(ts)  # the x axis of every series panel
     bids = [float(r.bid) for r in bundle.ticks]
     asks = [float(r.ask) for r in bundle.ticks]
+    # each quote is drawn on its own range; the labels give the joint one
     bid_ask = "".join((
         _panel_frame(PANEL_W, PANEL_H, "(d) bid / ask"),
-        _polyline(ts, bids, PANEL_W, PANEL_H, "#4878b0"),
-        _polyline(ts, asks, PANEL_W, PANEL_H, "#b05048"),
-        _range_labels(PANEL_W, PANEL_H, bids + asks),
+        _polyline(ts, bids, t_range, _axis_range(bids), PANEL_W, PANEL_H, "#4878b0"),
+        _polyline(ts, asks, t_range, _axis_range(asks), PANEL_W, PANEL_H, "#b05048"),
+        _range_labels(PANEL_W, PANEL_H, _axis_range(bids + asks)),
     ))
     body = "".join((
         _depth_panel(bundle, 0, 0),
-        _series_panel("(b) mid price", ts, [r.mid for r in bundle.ticks],
+        _series_panel("(b) mid price", ts, t_range, [r.mid for r in bundle.ticks],
                       PANEL_W, 0, "#333333"),
-        _series_panel("(c) smoothed viscosity", ts, bundle.smoothed_mu,
+        _series_panel("(c) smoothed viscosity", ts, t_range, bundle.smoothed_mu,
                       0, PANEL_H, "#7048b0"),
         bid_ask,
-        _series_panel("(e) returns", ts, [r.ret for r in bundle.ticks],
+        _series_panel("(e) returns", ts, t_range, [r.ret for r in bundle.ticks],
                       0, 2 * PANEL_H, "#48790f"),
-        _series_panel("(f) smoothed Reynolds number", ts, bundle.smoothed_reynolds,
-                      PANEL_W, 2 * PANEL_H, "#b07a1e"),
+        _series_panel("(f) smoothed Reynolds number", ts, t_range,
+                      bundle.smoothed_reynolds, PANEL_W, 2 * PANEL_H, "#b07a1e"),
     ))
     return head + body + "</svg>"
 

@@ -6,9 +6,10 @@ bounds were verified once against those seeds and then frozen.
 
 import math
 
+import numpy as np
 import pytest
 
-from marketflow.agents import GENERATOR_NAME, AgentSampler
+from marketflow.agents import BLOCK, GENERATOR_NAME, AgentSampler
 from marketflow.book import Side, init_book
 from marketflow.config import SimConfig
 from marketflow.physics import size_at
@@ -48,9 +49,10 @@ def test_different_seeds_differ():
 
 
 def test_side_frequency_is_balanced():
+    book = _static_book()
     sampler = AgentSampler(0.5, seed=7)
     n = 10_000
-    buys = sum(sampler.sample_side() is Side.BUY for _ in range(n))
+    buys = sum(sampler.sample(book).side is Side.BUY for _ in range(n))
     sigma = math.sqrt(0.25 / n)
     assert abs(buys / n - 0.5) <= 3 * sigma
 
@@ -114,3 +116,45 @@ def test_collision_size_pin():
     agent = sampler.sample(book)
     assert agent.price in (book.bid, book.ask)
     assert abs(agent.size - 0.7148) < 5e-5
+
+
+@pytest.mark.parametrize("p", [0.0, 0.15, 0.5, 0.99, 1.0])
+def test_agents_match_numpy_scalar_draws(p):
+    # numpy's own calls, in the sampler's order: random() for the side,
+    # random() for the collision, integers(0, 10) for the depth.
+    book = _static_book()
+    for seed in (0, 1, 7, 42, 12345, 2**31 + 5, 2**32 - 1, 2**64 + 3):
+        sampler = AgentSampler(p, seed=seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(3 * BLOCK):  # 2-3 words a tick: six blocks or more
+            side = Side.BUY if rng.random() < 0.5 else Side.SELL
+            if rng.random() < p:
+                price = book.ask if side is Side.BUY else book.bid
+            else:
+                depth = int(rng.integers(0, 10))
+                price = book.bid - depth if side is Side.BUY else book.ask + depth
+            agent = sampler.sample(book)
+            assert (agent.side, agent.price, agent.size) == (
+                side, price, book.size_at(price)), seed
+
+
+def test_rejected_draws_take_the_next_32_bits():
+    # Random words reach the rejection branch with chance 6 / 2**32, so
+    # feed crafted ones. u = 0 and u = 429496730 leave (u * 10) mod 2**32
+    # at 0 and 4, both below 6: rejected. u = 858993460 leaves 8 and
+    # gives depth 2. Each 32-bit draw is the low half of a fresh word,
+    # and its high half is kept for the next one, rejected or not.
+    book = _static_book()
+    sampler = AgentSampler(0.0, seed=0)
+    words = iter([
+        0, 0,                              # tick 1: buy, no collision
+        429496730 << 32 | 0,               # reject low 0, reject kept high
+        3006477108 << 32 | 858993460,      # accept low: depth 2; keep high
+        2**63, 0,                          # tick 2: sell, no collision
+    ])                                     # kept 3006477108: depth 7
+    sampler._next_word = words.__next__
+    first = sampler.sample(book)
+    assert (first.side, first.price) == (Side.BUY, book.bid - 2)
+    second = sampler.sample(book)
+    assert (second.side, second.price) == (Side.SELL, book.ask + 7)
+    assert next(words, None) is None
