@@ -98,18 +98,23 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+_SERIES_ROW = "%d,%d,%d" + ",%.6f" * 3 + ",%d" + ",%.6f" * 6 + ",%s\n"
+
+
 def write_series_csv(bundle: SeriesBundle, path: str) -> None:
-    """One row per tick; infinities spelled as the token `inf`."""
-    lines = metadata_header(bundle.config)
-    lines.append(SERIES_COLUMNS)
-    for tick, mu_s, nr_s in zip(bundle.ticks, bundle.smoothed_mu,
-                                bundle.smoothed_reynolds):
-        lines.append(",".join((
-            str(tick.t), str(tick.bid), str(tick.ask), _fmt(tick.mid),
-            _fmt(tick.ret), _fmt(tick.v_t), str(tick.spread),
-            _fmt(tick.volume), _fmt(tick.p_hat), _fmt(tick.mu), _fmt(mu_s),
-            _fmt(tick.reynolds), _fmt(nr_s), tick.regime.value)))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """One row per tick. Floats are written with six decimals, and every
+    infinity, of either sign, as the token `inf`."""
+    # `_value_` (Enum's documented sunder name) is a plain attribute;
+    # `.value` is a Python-level descriptor call per row.
+    rows = "".join([
+        _SERIES_ROW % (tick.t, tick.bid, tick.ask, tick.mid, tick.ret, tick.v_t,
+                       tick.spread, tick.volume, tick.p_hat, tick.mu, mu_s,
+                       tick.reynolds, nr_s, tick.regime._value_)
+        for tick, mu_s, nr_s in zip(bundle.ticks, bundle.smoothed_mu,
+                                    bundle.smoothed_reynolds)])
+    header = "\n".join(metadata_header(bundle.config) + [SERIES_COLUMNS])
+    # %.6f writes -inf; only the rows can hold it
+    _atomic_write(path, header + "\n" + rows.replace("-inf", "inf"))
 
 
 def write_grid_csv(grid: SurfaceGrid, path: str) -> None:

@@ -2,12 +2,18 @@
 
 Charts are assembled as plain strings with fixed two-decimal
 coordinates, so the same input always yields byte-identical markup.
+Series coordinates are computed with numpy, one array operation per
+step of the scalar formula and in Python's operation order; numpy's
+elementwise float64 arithmetic rounds like Python's, so every
+coordinate is the double the scalar formula gives.
 The CSV files stay canonical; these figures are a quick visual check.
 """
 
 from __future__ import annotations
 
-import math
+from operator import attrgetter
+
+import numpy as np
 
 from .book import Side
 from .engine import SeriesBundle
@@ -22,39 +28,50 @@ PAD_T = 28
 PAD_B = 20
 
 
-def _finite(values):
-    return [v for v in values if math.isfinite(v)]
-
-
 def _axis_range(values):
-    vals = _finite(values)
-    if not vals:
+    """The finite min and max, widened by 0.5 each way when they meet;
+    (0, 1) when no value is finite.
+
+    No series holds -0.0: every zero is `x - x`, a product of
+    non-negatives or a sum that starts from 0.0. So numpy's min and max,
+    which may pick either of two equal zeros, cannot change a label.
+    """
+    vals = np.asarray(values, dtype=float)
+    vals = vals[np.isfinite(vals)]
+    if not vals.size:
         return 0.0, 1.0
-    lo, hi = min(vals), max(vals)
+    lo, hi = float(vals.min()), float(vals.max())
     if lo == hi:
         lo -= 0.5
         hi += 0.5
     return lo, hi
 
 
-def _polyline(xs, ys, x_range, y_range, x0, y0, color):
-    """The finite (x, y) points scaled into the panel at (x0, y0); the
-    ranges are `_axis_range` of xs and ys, computed once by the caller."""
+def _points(xs, ys, x_range, y_range, x0, y0):
+    """The finite (x, y) pairs of two float arrays scaled into the panel
+    at (x0, y0), as an (n, 2) array; the ranges are `_axis_range` of xs
+    and ys."""
     lo_x, hi_x = x_range
     lo_y, hi_y = y_range
     inner_w = PANEL_W - PAD_L - PAD_R
     inner_h = PANEL_H - PAD_T - PAD_B
-    pts = []
-    for x, y in zip(xs, ys):
-        if not (math.isfinite(x) and math.isfinite(y)):
-            continue
-        px = x0 + PAD_L + (x - lo_x) / (hi_x - lo_x) * inner_w
-        py = y0 + PANEL_H - PAD_B - (y - lo_y) / (hi_y - lo_y) * inner_h
-        pts.append(f"{px:.2f},{py:.2f}")
-    if not pts:
+    keep = np.isfinite(xs) & np.isfinite(ys)
+    pts = np.empty((int(keep.sum()), 2))
+    # x0 + PAD_L + (x - lo_x) / (hi_x - lo_x) * inner_w, and the same
+    # for y, grouped as Python groups them
+    pts[:, 0] = (x0 + PAD_L) + (xs[keep] - lo_x) / (hi_x - lo_x) * inner_w
+    pts[:, 1] = (y0 + PANEL_H - PAD_B) - (ys[keep] - lo_y) / (hi_y - lo_y) * inner_h
+    return pts
+
+
+def _polyline(xs, ys, x_range, y_range, x0, y0, color):
+    """The finite (x, y) points as one polyline in the panel at (x0, y0)."""
+    pts = _points(xs, ys, x_range, y_range, x0, y0)
+    if not len(pts):
         return ""
+    points = " ".join(["%.2f,%.2f"] * len(pts)) % tuple(pts.ravel().tolist())
     return (f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
-            f'points="{" ".join(pts)}"/>')
+            f'points="{points}"/>')
 
 
 def _panel_frame(x0, y0, caption):
@@ -96,6 +113,7 @@ def _depth_panel(bundle, x0, y0):
 
 
 def _series_panel(caption, ts, t_range, ys, x0, y0, color):
+    ys = np.asarray(ys, dtype=float)
     y_range = _axis_range(ys)
     return "".join((
         _panel_frame(x0, y0, caption),
@@ -117,26 +135,24 @@ def series_figure(bundle: SeriesBundle) -> str:
                 f'<text x="{width / 2}" y="{height / 2}" font-size="16" '
                 f'font-family="sans-serif" text-anchor="middle" fill="#666">'
                 f'no data</text></svg>')
-    ts = [float(r.t) for r in bundle.ticks]
+    ts, bids, asks, mids, rets = (
+        np.fromiter(map(attrgetter(name), bundle.ticks), float, len(bundle.ticks))
+        for name in ("t", "bid", "ask", "mid", "ret"))
     t_range = _axis_range(ts)  # the x axis of every series panel
-    bids = [float(r.bid) for r in bundle.ticks]
-    asks = [float(r.ask) for r in bundle.ticks]
     # each quote is drawn on its own range; the labels give the joint one
     bid_ask = "".join((
         _panel_frame(PANEL_W, PANEL_H, "(d) bid / ask"),
         _polyline(ts, bids, t_range, _axis_range(bids), PANEL_W, PANEL_H, "#4878b0"),
         _polyline(ts, asks, t_range, _axis_range(asks), PANEL_W, PANEL_H, "#b05048"),
-        _range_labels(PANEL_W, PANEL_H, _axis_range(bids + asks)),
+        _range_labels(PANEL_W, PANEL_H, _axis_range(np.concatenate((bids, asks)))),
     ))
     body = "".join((
         _depth_panel(bundle, 0, 0),
-        _series_panel("(b) mid price", ts, t_range, [r.mid for r in bundle.ticks],
-                      PANEL_W, 0, "#333333"),
+        _series_panel("(b) mid price", ts, t_range, mids, PANEL_W, 0, "#333333"),
         _series_panel("(c) smoothed viscosity", ts, t_range, bundle.smoothed_mu,
                       0, PANEL_H, "#7048b0"),
         bid_ask,
-        _series_panel("(e) returns", ts, t_range, [r.ret for r in bundle.ticks],
-                      0, 2 * PANEL_H, "#48790f"),
+        _series_panel("(e) returns", ts, t_range, rets, 0, 2 * PANEL_H, "#48790f"),
         _series_panel("(f) smoothed Reynolds number", ts, t_range,
                       bundle.smoothed_reynolds, PANEL_W, 2 * PANEL_H, "#b07a1e"),
     ))

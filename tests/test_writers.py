@@ -10,14 +10,18 @@ Each case drives one branch of the writers:
 - a one-tick run, and a 2000-tick run at P = 0.5.
 
 `tests/test_golden.py` pins `series.csv` only; perfbench pins
-`series.svg` for one 20k-tick run.
+`series.svg` for one 20k-tick run. Two-decimal coordinates hide a
+one-ulp change, so the figure's coordinates are also compared with the
+scalar formula, double for double.
 """
 
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
+from marketflow import svg
 from marketflow.book import init_book
 from marketflow.cli import main
 from marketflow.config import SimConfig
@@ -83,3 +87,26 @@ def test_infinities_are_spelled_inf_and_nan_stays_nan(tmp_path):
     row = path.read_text().splitlines()[-1]
     assert row == ("0,10,12,11.000000,inf,inf,2,nan,0.000000,inf,inf,"
                    "inf,nan,laminar")
+
+
+def test_points_are_the_doubles_of_the_scalar_formula():
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(-1e3, 1e3, 4000)
+    ys = rng.normal(0.0, 1e-3, 4000) * rng.uniform(1.0, 1e6, 4000)
+    ys[::7] = math.inf
+    ys[::11] = -math.inf
+    xs[::13] = math.nan
+    x_range, y_range = svg._axis_range(xs), svg._axis_range(ys)
+    finite_ys = [y for y in ys.tolist() if math.isfinite(y)]
+    assert y_range == (min(finite_ys), max(finite_ys))
+
+    (lo_x, hi_x), (lo_y, hi_y) = x_range, y_range
+    x0, y0 = svg.PANEL_W, 2 * svg.PANEL_H
+    inner_w = svg.PANEL_W - svg.PAD_L - svg.PAD_R
+    inner_h = svg.PANEL_H - svg.PAD_T - svg.PAD_B
+    expected = [
+        [x0 + svg.PAD_L + (x - lo_x) / (hi_x - lo_x) * inner_w,
+         y0 + svg.PANEL_H - svg.PAD_B - (y - lo_y) / (hi_y - lo_y) * inner_h]
+        for x, y in zip(xs.tolist(), ys.tolist())
+        if math.isfinite(x) and math.isfinite(y)]
+    assert svg._points(xs, ys, x_range, y_range, x0, y0).tolist() == expected
