@@ -104,6 +104,7 @@ def batch_runs(base: SimConfig, param_grid: Iterable[Mapping],
     cells = [dict(overrides) for overrides in param_grid]
     if not cells:
         raise ValueError("param_grid must contain at least one cell")
+    seeds = list(seeds)  # read once per cell, so a generator must not run dry
     out: list[RunSummary] = []
     for overrides in cells:
         for seed in seeds:

@@ -108,6 +108,16 @@ class TestBatchRuns:
             [0.99] * 3 + [0.15] * 3
         assert [s.seed for s in summaries] == [0, 1, 2, 0, 1, 2]
 
+    def test_one_shot_seeds_cover_every_cell(self):
+        base = SimConfig(steps=20)
+        cells = [{"collision_probability": 0.99},
+                 {"collision_probability": 0.15}]
+        from_list = batch_runs(base, cells, seeds=[0, 1, 2])
+        from_generator = batch_runs(base, cells, seeds=(s for s in range(3)))
+        assert from_generator == from_list
+        assert [(s.config.collision_probability, s.seed) for s in from_generator] == \
+            [(0.99, 0), (0.99, 1), (0.99, 2), (0.15, 0), (0.15, 1), (0.15, 2)]
+
     def test_deterministic(self):
         base = SimConfig(steps=30)
         cells = [{"initial_spread": 1}, {"initial_spread": 20}]
