@@ -253,7 +253,6 @@ class ReconcileReport:
     """Outcome of replaying the journal against the live book."""
 
     exact: bool
-    initial: dict[Side, float]
     passive_added: dict[Side, float]
     traded_removed: dict[Side, float]
     identity_gap: dict[Side, float] = field(default_factory=dict)
@@ -303,6 +302,5 @@ def reconcile(book: OrderBook) -> ReconcileReport:
     removed = {side: a["trade"] + a["consume"] for side, a in agg.items()}
     return ReconcileReport(
         exact=buy_sizes == live[BUY] and sell_sizes == live[SELL],
-        initial=by_side("init"),
         passive_added=by_side("passive"), traded_removed=removed,
         identity_gap=gap)
