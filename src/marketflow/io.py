@@ -113,7 +113,8 @@ def write_series_csv(bundle: SeriesBundle, path: str) -> None:
         for tick, mu_s, nr_s in zip(bundle.ticks, bundle.smoothed_mu,
                                     bundle.smoothed_reynolds)])
     header = "\n".join(metadata_header(bundle.config) + [SERIES_COLUMNS])
-    # %.6f writes -inf; only the rows can hold it
+    # %.6f keeps the sign of -inf; rewrite it in the rows, never in the
+    # echoed config
     _atomic_write(path, header + "\n" + rows.replace("-inf", "inf"))
 
 
