@@ -13,7 +13,7 @@ bit-exactly against a replay of the journal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .config import SimConfig
@@ -118,26 +118,12 @@ class OrderBook:
         """Kernel size at `price` against the current quotes."""
         return self._sizes.size_at(price, self.bid, self.ask)
 
-    @property
-    def spread(self) -> int:
-        return self.ask - self.bid
-
-    def depth(self, side: Side, price: int) -> int:
-        """Ticks from the side's best quote out to `price`."""
-        return self.bid - price if side is BUY else price - self.ask
-
     def prices(self, side: Side) -> list[int]:
         return list(self._side(side)[1])
 
     def levels(self, side: Side) -> list[PriceLevel]:
         sizes, ticks, _ = self._side(side)
         return [PriceLevel(p, size) for p, size in zip(ticks, sizes)]
-
-    def size_of(self, side: Side, price: int) -> float:
-        depth = self.depth(side, price)
-        if not 0 <= depth < 10:
-            raise ValueError(f"no resting {side.value} level at {price}")
-        return self._side(side)[0][depth]
 
     # --- journaled mutations -------------------------------------------
 
@@ -253,9 +239,7 @@ class ReconcileReport:
     """Outcome of replaying the journal against the live book."""
 
     exact: bool
-    passive_added: dict[Side, float]
-    traded_removed: dict[Side, float]
-    identity_gap: dict[Side, float] = field(default_factory=dict)
+    identity_gap: dict[Side, float]
 
 
 def reconcile(book: OrderBook) -> ReconcileReport:
@@ -295,12 +279,6 @@ def reconcile(book: OrderBook) -> ReconcileReport:
         expected = (a["init"] + a["passive"] + a["residual"] + a["regen"]
                     - a["trade"] - a["consume"])
         gap[side] = abs(sum(live[side].values()) - expected)
-
-    def by_side(tag: str) -> dict[Side, float]:
-        return {side: a[tag] for side, a in agg.items()}
-
-    removed = {side: a["trade"] + a["consume"] for side, a in agg.items()}
     return ReconcileReport(
         exact=buy_sizes == live[BUY] and sell_sizes == live[SELL],
-        passive_added=by_side("passive"), traded_removed=removed,
         identity_gap=gap)

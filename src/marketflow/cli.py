@@ -68,14 +68,10 @@ def _resolve_config(args: argparse.Namespace) -> SimConfig:
     return parse_config(args.config, overrides)
 
 
-def _ensure_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     bundle = run(config)
-    _ensure_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "series.csv")
     write_series_csv(bundle, csv_path)
     written = [csv_path]
@@ -102,7 +98,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     ]
     seeds = list(range(base.seed, base.seed + args.n_seeds))
     summaries = batch_runs(base, param_grid, seeds)
-    _ensure_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "batch.csv")
     write_batch_csv(summaries, csv_path)
     failed = sum(1 for s in summaries if s.error is not None)
@@ -115,7 +111,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
     p_grid = default_probability_grid()
     speed = surface_speed(default_speed_grid(), p_grid, l=1.0)
     spread = surface_spread(default_l_grid(), p_grid, v_t=1.0)
-    _ensure_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     speed_path = os.path.join(args.out, "surface_speed.csv")
     spread_path = os.path.join(args.out, "surface_spread.csv")
     write_grid_csv(speed, speed_path)

@@ -26,6 +26,12 @@ class SimConfig:
     viscosity_clamp: float = 2.0
 
     def validate(self) -> "SimConfig":
+        # Exactly int: a float would be truncated by the %d writers and
+        # echo a header that does not parse back; a bool is no count.
+        for name, kind in CONFIG_FIELDS.items():
+            value = getattr(self, name)
+            if kind is int and type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.initial_bid < 1:
             raise ValueError("initial_bid must be >= 1")
         if self.initial_spread < 1:

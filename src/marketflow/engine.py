@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
-from .agents import GENERATOR_NAME, AgentSampler
+from .agents import AgentSampler
 from .book import OrderBook, apply_order, init_book, reconcile
 from .config import SimConfig
 from .physics import (
@@ -23,13 +22,12 @@ from .physics import (
 
 @dataclass
 class SeriesBundle:
-    """A completed run: per-tick records, the smoothed series, and
-    enough metadata to reproduce the run exactly."""
+    """A completed run: per-tick records, the smoothed series, the
+    config, which reproduces the run exactly, and the final book."""
 
     ticks: list[TickRecord]
     smoothed_mu: list[float]
     smoothed_reynolds: list[float]
-    metadata: dict
     config: SimConfig
     final_book: OrderBook
 
@@ -79,18 +77,12 @@ def run(config: SimConfig) -> SeriesBundle:
     if not report.exact:
         raise RuntimeError("volume ledger failed to reconcile against the journal")
 
-    metadata = {
-        "seed": config.seed,
-        "generator": GENERATOR_NAME,
-        "version": __version__,
-    }
     return SeriesBundle(
         ticks=ticks,
         smoothed_mu=smooth_viscosity([r.mu for r in ticks], config.viscosity_clamp,
                                      config.smoothing_window),
         smoothed_reynolds=smooth_series([r.reynolds for r in ticks],
                                         config.smoothing_window),
-        metadata=metadata,
         config=config,
         final_book=book,
     )

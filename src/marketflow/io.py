@@ -52,10 +52,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> SimC
 
 
 def config_echo_lines(config: SimConfig) -> list[str]:
-    """Canonical `key = value` lines; repr round-trips every float."""
-    return [f"{f.name} = {getattr(config, f.name)!r}" if isinstance(getattr(config, f.name), float)
-            else f"{f.name} = {getattr(config, f.name)}"
-            for f in fields(SimConfig)]
+    """Canonical `key = value` lines; repr round-trips every value."""
+    return [f"{f.name} = {getattr(config, f.name)!r}" for f in fields(SimConfig)]
 
 
 def metadata_header(config: SimConfig) -> list[str]:

@@ -49,7 +49,11 @@ def kernel_weight(r: float, h: float) -> float:
 
 
 def size_at(price: float, bid: float, ask: float, m: float, h: float) -> float:
-    """Size coordinate at a price: kernel mass from both quote anchors."""
+    """Size coordinate at a price: kernel mass from both quote anchors.
+
+    Runs size levels and agents through `book.SizeMemo`, which memoises
+    the weights; this is the unmemoised reference it is checked against.
+    """
     return m * (kernel_weight(price - bid, h) + kernel_weight(price - ask, h))
 
 

@@ -36,20 +36,12 @@ class SurfaceGrid:
     fixed_params: dict
 
 
-def _check_probabilities(p_grid: Iterable[float]) -> list[float]:
-    ps = list(p_grid)
-    for p in ps:
-        if p >= 1.0:
-            raise ValueError(f"collision probability {p} is outside [0, 1)")
-    return ps
-
-
 def surface_speed(vt_grid: Iterable[float], p_grid: Iterable[float],
                   l: float = 1.0) -> SurfaceGrid:
     """Reynolds numbers over (market speed, collision probability) at a
     fixed spread."""
     xs = list(vt_grid)
-    ps = _check_probabilities(p_grid)
+    ps = list(p_grid)
     values = [[reynolds_closed_form(v, l, p) for v in xs] for p in ps]
     return SurfaceGrid(x_name="v_t", x_axis=xs, y_axis=ps, values=values,
                        fixed_params={"l": l})
@@ -60,7 +52,7 @@ def surface_spread(l_grid: Iterable[float], p_grid: Iterable[float],
     """Reynolds numbers over (spread, collision probability) at a fixed
     market speed."""
     xs = list(l_grid)
-    ps = _check_probabilities(p_grid)
+    ps = list(p_grid)
     values = [[reynolds_closed_form(v_t, l, p) for l in xs] for p in ps]
     return SurfaceGrid(x_name="l", x_axis=xs, y_axis=ps, values=values,
                        fixed_params={"v_t": v_t})
@@ -98,8 +90,10 @@ def batch_runs(base: SimConfig, param_grid: Iterable[Mapping],
                seeds: Iterable[int]) -> list[RunSummary]:
     """One summary per (override, seed) cell, in grid-major order.
 
-    A failing cell is reported in its summary's error field; the rest of
-    the batch still runs.
+    A cell whose run raises `ValueError` (a rejected config or a
+    degenerate book) is reported in its summary's error field, and the
+    rest of the batch still runs; any other exception is a fault and
+    propagates.
     """
     cells = [dict(overrides) for overrides in param_grid]
     if not cells:
@@ -111,7 +105,7 @@ def batch_runs(base: SimConfig, param_grid: Iterable[Mapping],
             config = replace(base, seed=seed, **overrides)
             try:
                 out.append(_summarize(config))
-            except Exception as exc:
+            except ValueError as exc:
                 counts = {regime.value: 0 for regime in FlowRegime}
                 out.append(RunSummary(
                     config=config, seed=seed, final_mu=None,

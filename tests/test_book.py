@@ -29,7 +29,7 @@ class TestInitBook:
     def test_wide_spread_layout(self):
         book = _book(initial_bid=3681, initial_spread=20)
         assert book.ask == 3701
-        assert book.spread == 20
+        assert book.ask - book.bid == 20
 
     def test_sizes_come_from_the_kernel(self):
         book = _book()
@@ -52,9 +52,9 @@ class TestInitBook:
 class TestPassiveOrders:
     def test_buy_limit_joins_its_level(self):
         book = _book()
-        before = book.size_of(Side.BUY, 3678)
+        before = book.buy_sizes[book.bid - 3678]
         out = apply_order(book, FluidAgent(Side.BUY, 3678, 0.25))
-        assert book.size_of(Side.BUY, 3678) == before + 0.25
+        assert book.buy_sizes[book.bid - 3678] == before + 0.25
         assert out.collision is False
         assert out.traded_volume == 0.0
         assert out.price_change == 0.0
@@ -76,56 +76,56 @@ class TestPassiveOrders:
 class TestActiveOrders:
     def test_exact_full_fill_moves_ask_up_one_tick(self):
         book = _book()
-        ask_size = book.size_of(Side.SELL, 3682)
+        ask_size = book.sell_sizes[3682 - book.ask]
         out = apply_order(book, FluidAgent(Side.BUY, 3682, ask_size))
         assert out.collision is True
         assert out.traded_volume == ask_size
         assert out.price_change == 0.5
         assert (book.bid, book.ask) == (3681, 3683)
-        assert book.spread == 2
+        assert book.ask - book.bid == 2
 
     def test_sell_full_fill_moves_bid_down(self):
         book = _book()
-        bid_size = book.size_of(Side.BUY, 3681)
+        bid_size = book.buy_sizes[book.bid - 3681]
         out = apply_order(book, FluidAgent(Side.SELL, 3681, bid_size + 1e-9))
         assert out.price_change == -0.5
         assert book.bid == 3680
 
     def test_full_fill_regenerates_the_far_end(self):
         book = _book()
-        ask_size = book.size_of(Side.SELL, 3682)
+        ask_size = book.sell_sizes[3682 - book.ask]
         apply_order(book, FluidAgent(Side.BUY, 3682, ask_size))
         sells = book.prices(Side.SELL)
         assert len(sells) == 10
         assert sells[-1] == 3692
         # sized against the post-removal anchors
-        assert book.size_of(Side.SELL, 3692) == \
+        assert book.sell_sizes[3692 - book.ask] == \
             size_at(3692, 3681, 3683, 2000.0, 10.0)
 
     def test_residual_rests_on_the_new_best(self):
         book = _book()
-        ask_size = book.size_of(Side.SELL, 3682)
-        next_before = book.size_of(Side.SELL, 3683)
+        ask_size = book.sell_sizes[3682 - book.ask]
+        next_before = book.sell_sizes[3683 - book.ask]
         agent_size = ask_size + 0.375
         apply_order(book, FluidAgent(Side.BUY, 3682, agent_size))
         assert book.ask == 3683
         # the posted residual is agent size minus the consumed volume
-        assert book.size_of(Side.SELL, 3683) == \
+        assert book.sell_sizes[3683 - book.ask] == \
             next_before + (agent_size - ask_size)
 
     def test_partial_fill_shrinks_the_level_in_place(self):
         book = _book()
-        bid_size = book.size_of(Side.BUY, 3681)
+        bid_size = book.buy_sizes[book.bid - 3681]
         out = apply_order(book, FluidAgent(Side.SELL, 3681, bid_size / 2))
         assert out.collision is True
         assert out.traded_volume == bid_size / 2
         assert out.price_change == 0.0
         assert (book.bid, book.ask) == (3681, 3682)
-        assert book.size_of(Side.BUY, 3681) == bid_size - bid_size / 2
+        assert book.buy_sizes[book.bid - 3681] == bid_size - bid_size / 2
 
     def test_outcome_captures_pretrade_notionals(self):
         book = _book()
-        ask_size = book.size_of(Side.SELL, 3682)
+        ask_size = book.sell_sizes[3682 - book.ask]
         out = apply_order(book, FluidAgent(Side.BUY, 3682, 0.125))
         assert out.obstacle_notional == ask_size * 3682
         assert out.order_notional == 0.125 * 3682
@@ -143,11 +143,11 @@ class TestActiveOrders:
 class TestRegeneration:
     def test_buy_side_extends_downward(self):
         book = _book()
-        bid_size = book.size_of(Side.BUY, 3681)
+        bid_size = book.buy_sizes[book.bid - 3681]
         apply_order(book, FluidAgent(Side.SELL, 3681, bid_size))
         buys = book.prices(Side.BUY)
         assert buys[-1] == 3671
-        assert book.size_of(Side.BUY, 3671) == \
+        assert book.buy_sizes[book.bid - 3671] == \
             size_at(3671, 3680, 3682, 2000.0, 10.0)
 
 
@@ -183,12 +183,12 @@ class TestSpreadDirection:
         config = SimConfig(collision_probability=0.7, seed=5)
         book = init_book(config)
         sampler = AgentSampler(0.7, seed=5)
-        spread = book.spread
+        spread = book.ask - book.bid
         for _ in range(400):
             apply_order(book, sampler.sample(book))
             book.check()
-            assert book.spread >= spread
-            spread = book.spread
+            assert book.ask - book.bid >= spread
+            spread = book.ask - book.bid
 
 
 class TestLedger:
@@ -206,7 +206,7 @@ class TestLedger:
 
     def test_journal_tags_cover_every_mutation(self):
         book = _book()
-        ask_size = book.size_of(Side.SELL, 3682)
+        ask_size = book.sell_sizes[3682 - book.ask]
         apply_order(book, FluidAgent(Side.BUY, 3678, 0.2))
         apply_order(book, FluidAgent(Side.BUY, 3682, ask_size + 0.1))
         ops = [entry[0] for entry in book.journal]
@@ -216,10 +216,8 @@ class TestLedger:
         assert "regen" in ops
         assert "residual" in ops
 
-    def test_aggregates_track_traffic(self):
+    def test_journal_records_passive_traffic(self):
         book = _book()
         apply_order(book, FluidAgent(Side.BUY, 3680, 0.4))
-        report = reconcile(book)
-        assert report.passive_added[Side.BUY] == 0.4
-        assert report.passive_added[Side.SELL] == 0.0
-        assert report.traded_removed[Side.BUY] == 0.0
+        assert book.journal[-1] == ("passive", Side.BUY, 3680, 0.4)
+        assert reconcile(book).exact

@@ -132,12 +132,6 @@ class TestRun:
         assert a.smoothed_mu == b.smoothed_mu
         assert a.smoothed_reynolds == b.smoothed_reynolds
 
-    def test_metadata_records_reproducibility_inputs(self):
-        bundle = run(SimConfig(steps=5, seed=11))
-        assert bundle.metadata["seed"] == 11
-        assert bundle.metadata["generator"] == "numpy PCG64"
-        assert bundle.metadata["version"]
-
     def test_passive_only_run(self):
         bundle = run(SimConfig(collision_probability=0.0, steps=40, seed=2))
         for tick in bundle.ticks:
@@ -189,6 +183,19 @@ class TestRun:
             run(SimConfig(steps=0))
         with pytest.raises(ValueError):
             run(SimConfig(collision_probability=1.5))
+
+    @pytest.mark.parametrize("name,value", [
+        ("initial_bid", 3681.5),
+        ("initial_spread", 1.0),
+        ("steps", 2.5),
+        ("seed", 1.5),
+        ("smoothing_window", 2.5),
+        ("seed", True),
+        ("steps", "450"),
+    ])
+    def test_rejects_a_non_int_in_an_int_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            run(SimConfig(**{name: value}))
 
     def test_degenerate_book_error_names_the_tick(self):
         # a bid of 1 reaches price 0, where the obstacle notional vanishes

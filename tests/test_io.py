@@ -191,7 +191,7 @@ class TestSvg:
     def test_empty_series_renders_a_placeholder(self):
         config = SimConfig()
         empty = SeriesBundle(ticks=[], smoothed_mu=[], smoothed_reynolds=[],
-                             metadata={}, config=config,
+                             config=config,
                              final_book=init_book(config))
         markup = series_figure(empty)
         xml.dom.minidom.parseString(markup)

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from marketflow import sweep
 from marketflow.config import SimConfig
 from marketflow.engine import run
 from marketflow.physics import reynolds_closed_form
@@ -144,6 +145,13 @@ class TestBatchRuns:
         assert summaries[0].final_mu is None
         assert summaries[1].error is None
         assert summaries[1].final_mu is not None
+
+    def test_program_faults_propagate(self, monkeypatch):
+        def faulty_run(config):
+            raise RuntimeError("volume ledger failed to reconcile")
+        monkeypatch.setattr(sweep, "run", faulty_run)
+        with pytest.raises(RuntimeError, match="reconcile"):
+            batch_runs(SimConfig(steps=10), [{}], seeds=[0])
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):

@@ -80,8 +80,8 @@ def test_infinities_are_spelled_inf_and_nan_stays_nan(tmp_path):
     ticks = [TickRecord(0, 10, 12, 11.0, -math.inf, math.inf, 2, math.nan,
                         math.inf, 0.0, -math.inf, FlowRegime.LAMINAR)]
     bundle = SeriesBundle(ticks=ticks, smoothed_mu=[-math.inf],
-                          smoothed_reynolds=[math.nan], metadata={},
-                          config=config, final_book=init_book(config))
+                          smoothed_reynolds=[math.nan], config=config,
+                          final_book=init_book(config))
     path = tmp_path / "series.csv"
     write_series_csv(bundle, str(path))
     row = path.read_text().splitlines()[-1]
