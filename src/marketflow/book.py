@@ -183,7 +183,6 @@ class OrderBook:
 def init_book(config: SimConfig) -> OrderBook:
     """Build the starting book: ten contiguous levels per side around the
     configured bid and spread, sized by the kernel at those anchors."""
-    config.validate()
     return OrderBook(config.initial_bid, config.initial_bid + config.initial_spread,
                      config.m, config.h)
 

@@ -15,57 +15,53 @@ import argparse
 import os
 import sys
 
-from .config import SimConfig
+from .config import CONFIG_FIELDS, SimConfig
 from .engine import run
 from .io import (parse_config, write_batch_csv, write_grid_csv,
                  write_series_csv)
 from .sweep import (batch_runs, default_l_grid, default_probability_grid,
                     default_speed_grid, surface_speed, surface_spread)
 
-# CLI flag name -> SimConfig field
-_FLAG_FIELDS = (
-    ("seed", "seed"),
-    ("steps", "steps"),
-    ("collision_probability", "collision_probability"),
-    ("spread", "initial_spread"),
-    ("bid", "initial_bid"),
-    ("mass", "m"),
-    ("smoothing_length", "h"),
-    ("window", "smoothing_window"),
+# (flag, SimConfig field, help); a flag's dest and type are its field's
+_CONFIG_FLAGS = (
+    ("--seed", "seed", "RNG seed"),
+    ("--steps", "steps", "number of ticks"),
+    ("--collision-probability", "collision_probability",
+     "chance a new agent prices at the opposite best"),
+    ("--spread", "initial_spread", "initial ask minus bid, in ticks"),
+    ("--bid", "initial_bid", "initial best bid price"),
+    ("--mass", "m", "kernel mass scale for sizes"),
+    ("--smoothing-length", "h", "kernel smoothing length"),
+    ("--window", "smoothing_window", "trailing moving-average window"),
+)
+
+# batch's cells: collision probability x initial spread, each over the
+# same block of seeds. batch takes no flag for a field set here.
+_BATCH_GRID = tuple(
+    {"collision_probability": p, "initial_spread": l}
+    for p in (0.99, 0.15)
+    for l in (1, 20)
 )
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser,
+                      fixed: frozenset = frozenset()) -> None:
+    """--config, a flag per field not in `fixed`, and --out."""
     parser.add_argument("--config", metavar="FILE",
                         help="config file with key = value lines")
-    parser.add_argument("--seed", type=int, help="RNG seed")
-    parser.add_argument("--steps", type=int, help="number of ticks")
-    parser.add_argument("--collision-probability", type=float,
-                        dest="collision_probability",
-                        help="chance a new agent prices at the opposite best")
-    parser.add_argument("--spread", type=int,
-                        help="initial ask minus bid, in ticks")
-    parser.add_argument("--bid", type=int, help="initial best bid price")
-    parser.add_argument("--mass", type=float,
-                        help="kernel mass scale for sizes")
-    parser.add_argument("--smoothing-length", type=float,
-                        dest="smoothing_length",
-                        help="kernel smoothing length")
-    parser.add_argument("--window", type=int,
-                        help="trailing moving-average window")
+    for flag, field, help_text in _CONFIG_FLAGS:
+        if field not in fixed:
+            parser.add_argument(flag, dest=field, type=CONFIG_FIELDS[field],
+                                metavar=flag[2:].upper().replace("-", "_"),
+                                help=help_text)
     parser.add_argument("--out", metavar="DIR", default=".",
                         help="output directory (default: current)")
-    parser.add_argument("--svg", action="store_true",
-                        help="also write SVG figures")
 
 
 def _resolve_config(args: argparse.Namespace) -> SimConfig:
-    overrides = {}
-    for flag, field in _FLAG_FIELDS:
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
-    return parse_config(args.config, overrides)
+    return parse_config(args.config, {
+        field: getattr(args, field) for field in CONFIG_FIELDS
+        if getattr(args, field, None) is not None})
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -81,7 +77,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         write_svg(series_figure(bundle), svg_path)
         written.append(svg_path)
     last = bundle.ticks[-1]
-    print(f"simulate: {config.steps} ticks, final spread {last.spread}, "
+    print(f"simulate: {config.steps} ticks, final spread {last.ask - last.bid}, "
           f"final smoothed viscosity {bundle.smoothed_mu[-1]:.6f}, "
           f"final smoothed Reynolds {bundle.smoothed_reynolds[-1]:.6f}")
     for path in written:
@@ -90,14 +86,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    if args.n_seeds < 1:
+        raise ValueError("--n-seeds must be >= 1")
     base = _resolve_config(args)
-    param_grid = [
-        {"collision_probability": p, "initial_spread": l}
-        for p in (0.99, 0.15)
-        for l in (1, 20)
-    ]
     seeds = list(range(base.seed, base.seed + args.n_seeds))
-    summaries = batch_runs(base, param_grid, seeds)
+    summaries = batch_runs(base, _BATCH_GRID, seeds)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "batch.csv")
     write_batch_csv(summaries, csv_path)
@@ -137,11 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one simulation")
     _add_config_flags(p_sim)
+    p_sim.add_argument("--svg", action="store_true",
+                       help="also write SVG figures")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_batch = sub.add_parser("batch",
                              help="run a probability/spread sweep")
-    _add_config_flags(p_batch)
+    _add_config_flags(p_batch, fixed=frozenset().union(*_BATCH_GRID))
     p_batch.add_argument("--n-seeds", type=int, default=20,
                          dest="n_seeds",
                          help="seeds per grid cell (default 20)")

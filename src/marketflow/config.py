@@ -10,10 +10,11 @@ from typing import get_type_hints
 from .physics import kernel_weight
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Every knob a run needs. Defaults reproduce the narrow-spread,
-    high-collision reference experiment."""
+    high-collision reference experiment. A config is checked when it is
+    built (`dataclasses.replace` included), so every instance is valid."""
 
     initial_bid: int = 3681
     initial_spread: int = 1
@@ -25,13 +26,16 @@ class SimConfig:
     smoothing_window: int = 20
     viscosity_clamp: float = 2.0
 
-    def validate(self) -> "SimConfig":
+    def __post_init__(self) -> None:
         # Exactly int: a float would be truncated by the %d writers and
-        # echo a header that does not parse back; a bool is no count.
+        # echo a header that does not parse back; a bool is no count. A
+        # float field takes an int or a float, whose repr parses back.
         for name, kind in CONFIG_FIELDS.items():
             value = getattr(self, name)
             if kind is int and type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            if type(value) not in (int, float):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.initial_bid < 1:
             raise ValueError("initial_bid must be >= 1")
         if self.initial_spread < 1:
@@ -74,7 +78,6 @@ class SimConfig:
             raise ValueError("smoothing_window must be >= 1")
         if not self.viscosity_clamp > 0:
             raise ValueError("viscosity_clamp must be > 0")
-        return self
 
 
 # Field name -> int or float, read from SimConfig's annotations.

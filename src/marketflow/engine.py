@@ -69,7 +69,7 @@ def step(book: OrderBook, sampler: AgentSampler, config: SimConfig, t: int) -> T
 
 def run(config: SimConfig) -> SeriesBundle:
     """Initialize, iterate `steps` ticks, smooth, and bundle the result."""
-    book = init_book(config)  # validates the config
+    book = init_book(config)
     sampler = AgentSampler(config.collision_probability, config.seed)
     ticks = [step(book, sampler, config, t) for t in range(config.steps)]
 

@@ -38,7 +38,7 @@ def parse_config_lines(lines, source="config") -> dict:
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> SimConfig:
-    """Defaults, then file values, then explicit overrides; validated."""
+    """Defaults, then file values, then explicit overrides."""
     values = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -48,7 +48,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> SimC
             if key not in CONFIG_FIELDS:
                 raise ValueError(f"unknown config key: {key}")
             values[key] = val
-    return SimConfig(**values).validate()
+    return SimConfig(**values)
 
 
 def config_echo_lines(config: SimConfig) -> list[str]:
@@ -80,7 +80,7 @@ def parse_series_header(path: str) -> SimConfig:
                 block.append(stripped[1:].strip())
     if not block:
         raise ValueError(f"{path} has no config block")
-    return SimConfig(**parse_config_lines(block, source=path)).validate()
+    return SimConfig(**parse_config_lines(block, source=path))
 
 
 def _fmt(x: float) -> str:

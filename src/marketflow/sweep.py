@@ -7,7 +7,7 @@ from typing import Iterable, Mapping
 
 from .config import SimConfig
 from .engine import run
-from .physics import FlowRegime, reynolds_closed_form
+from .physics import DegenerateBookError, FlowRegime, reynolds_closed_form
 
 
 def default_speed_grid() -> list[float]:
@@ -90,25 +90,25 @@ def batch_runs(base: SimConfig, param_grid: Iterable[Mapping],
                seeds: Iterable[int]) -> list[RunSummary]:
     """One summary per (override, seed) cell, in grid-major order.
 
-    A cell whose run raises `ValueError` (a rejected config or a
-    degenerate book) is reported in its summary's error field, and the
-    rest of the batch still runs; any other exception is a fault and
-    propagates.
+    Every cell's config is built before the first run, so an invalid
+    cell raises `ValueError` before tick 0. A run whose book degenerates
+    is reported in its summary's error field, and the rest of the batch
+    still runs; any other exception is a fault and propagates.
     """
-    cells = [dict(overrides) for overrides in param_grid]
+    cells = list(param_grid)
     if not cells:
         raise ValueError("param_grid must contain at least one cell")
     seeds = list(seeds)  # read once per cell, so a generator must not run dry
+    configs = [replace(base, seed=seed, **overrides)
+               for overrides in cells for seed in seeds]
     out: list[RunSummary] = []
-    for overrides in cells:
-        for seed in seeds:
-            config = replace(base, seed=seed, **overrides)
-            try:
-                out.append(_summarize(config))
-            except ValueError as exc:
-                counts = {regime.value: 0 for regime in FlowRegime}
-                out.append(RunSummary(
-                    config=config, seed=seed, final_mu=None,
-                    final_reynolds=None, max_reynolds=None,
-                    regime_counts=counts, error=str(exc)))
+    for config in configs:
+        try:
+            out.append(_summarize(config))
+        except DegenerateBookError as exc:
+            counts = {regime.value: 0 for regime in FlowRegime}
+            out.append(RunSummary(
+                config=config, seed=config.seed, final_mu=None,
+                final_reynolds=None, max_reynolds=None,
+                regime_counts=counts, error=str(exc)))
     return out

@@ -2,6 +2,7 @@
 
 import pytest
 
+from marketflow import sweep
 from marketflow.cli import build_parser, main
 from marketflow.config import SimConfig
 from marketflow.io import parse_series_header
@@ -21,11 +22,11 @@ def test_parser_covers_all_config_flags():
     assert args.seed == 3
     assert args.steps == 5
     assert args.collision_probability == 0.4
-    assert args.spread == 2
-    assert args.bid == 100
-    assert args.mass == 1500.0
-    assert args.smoothing_length == 8.0
-    assert args.window == 10
+    assert args.initial_spread == 2
+    assert args.initial_bid == 100
+    assert args.m == 1500.0
+    assert args.h == 8.0
+    assert args.smoothing_window == 10
     assert args.svg is True
 
 
@@ -38,6 +39,14 @@ def test_simulate_writes_series(tmp_path):
     config = parse_series_header(str(out / "series.csv"))
     assert config.steps == 25
     assert config.seed == 2
+
+
+def test_simulate_prints_the_final_spread(tmp_path, capsys):
+    out = tmp_path / "run"
+    main(["simulate", "--out", str(out), "--seed", "0"])
+    last = _rows(out / "series.csv")[-1].split(",")
+    bid, ask = int(last[1]), int(last[2])
+    assert f"final spread {ask - bid}," in capsys.readouterr().out
 
 
 def test_simulate_svg_flag(tmp_path):
@@ -86,7 +95,7 @@ def test_bad_config_returns_error_code(tmp_path, capsys):
 ])
 def test_doomed_kernel_config_is_rejected(tmp_path, capsys, m, h):
     with pytest.raises(ValueError):
-        SimConfig(m=m, h=h).validate()
+        SimConfig(m=m, h=h)
     code = main(["simulate", "--mass", str(m), "--smoothing-length", str(h),
                  "--out", str(tmp_path)])
     assert code == 2
@@ -97,16 +106,16 @@ def test_bid_beyond_exact_half_ticks_is_rejected(tmp_path, capsys):
     # at 1e17 a half tick is below float resolution: the mid would stand
     # still while the quotes move
     with pytest.raises(ValueError, match="2\\*\\*53"):
-        SimConfig(initial_bid=10**17, steps=200).validate()
+        SimConfig(initial_bid=10**17, steps=200)
     code = main(["simulate", "--bid", "100000000000000000",
                  "--out", str(tmp_path)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
     # the largest accepted bid still gives exact mids
     bid = (2**53 - 1 - 1 - 450) // 2
-    SimConfig(initial_bid=bid).validate()
+    SimConfig(initial_bid=bid)
     with pytest.raises(ValueError):
-        SimConfig(initial_bid=bid + 1).validate()
+        SimConfig(initial_bid=bid + 1)
 
 
 def test_batch_writes_summary_rows(tmp_path):
@@ -118,6 +127,38 @@ def test_batch_writes_summary_rows(tmp_path):
     # 2 probabilities x 2 spreads x 2 seeds
     assert len(rows) == 8
     assert all(row.split(",")[-1] == "" for row in rows)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--svg"],
+    ["--spread", "5"],                     # the grid sets the spread
+    ["--collision-probability", "0.5"],    # and the probability
+])
+def test_batch_rejects_flags_it_does_not_read(tmp_path, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["batch", "--out", str(tmp_path), *flags])
+    assert exc.value.code == 2
+
+
+def test_batch_rejects_an_invalid_cell_before_any_run(tmp_path, capsys,
+                                                      monkeypatch):
+    def no_run(config):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(sweep, "run", no_run)
+    # valid at spread 1, past the 2**53 bound at spread 20
+    code = main(["batch", "--bid", "4503599627370270", "--n-seeds", "1",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "2**53" in capsys.readouterr().err
+    assert not (tmp_path / "batch.csv").exists()
+
+
+@pytest.mark.parametrize("n_seeds", ["0", "-3"])
+def test_batch_rejects_an_empty_seed_block(tmp_path, capsys, n_seeds):
+    code = main(["batch", "--n-seeds", n_seeds, "--out", str(tmp_path)])
+    assert code == 2
+    assert "error: --n-seeds must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "batch.csv").exists()
 
 
 def test_surface_writes_both_grids(tmp_path):

@@ -2,8 +2,9 @@
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
+import numpy as np
 import pytest
 
 from marketflow.book import reconcile
@@ -196,6 +197,26 @@ class TestRun:
     def test_rejects_a_non_int_in_an_int_field(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             run(SimConfig(**{name: value}))
+
+    def test_config_is_checked_when_built_and_then_frozen(self):
+        with pytest.raises(ValueError, match="^steps must be >= 1"):
+            SimConfig(steps=0)
+        config = SimConfig()
+        with pytest.raises(ValueError, match="^steps must be >= 1"):
+            replace(config, steps=0)
+        with pytest.raises(FrozenInstanceError):
+            config.steps = 0
+
+    @pytest.mark.parametrize("name,value", [
+        ("collision_probability", True),
+        ("m", "2000"),
+        ("h", None),
+        ("viscosity_clamp", np.float64(2.0)),
+        ("m", np.float64(2000.0)),
+    ])
+    def test_rejects_a_non_number_in_a_float_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a number"):
+            SimConfig(**{name: value})
 
     def test_degenerate_book_error_names_the_tick(self):
         # a bid of 1 reaches price 0, where the obstacle notional vanishes

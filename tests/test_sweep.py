@@ -138,10 +138,10 @@ class TestBatchRuns:
 
     def test_errors_are_captured_per_cell(self):
         base = SimConfig(steps=10)
-        cells = [{"initial_spread": 0}, {"initial_spread": 1}]
+        # a bid of 1 is valid, and its book degenerates at a tick
+        cells = [{"initial_bid": 1}, {"initial_spread": 1}]
         summaries = batch_runs(base, cells, seeds=[0])
-        assert summaries[0].error is not None
-        assert "initial_spread" in summaries[0].error
+        assert summaries[0].error.startswith("tick ")
         assert summaries[0].final_mu is None
         assert summaries[1].error is None
         assert summaries[1].final_mu is not None
@@ -152,6 +152,15 @@ class TestBatchRuns:
         monkeypatch.setattr(sweep, "run", faulty_run)
         with pytest.raises(RuntimeError, match="reconcile"):
             batch_runs(SimConfig(steps=10), [{}], seeds=[0])
+
+    def test_invalid_cell_is_rejected_before_any_run(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(sweep, "run", runs.append)
+        with pytest.raises(ValueError, match="initial_spread"):
+            batch_runs(SimConfig(steps=10),
+                       [{"initial_spread": 1}, {"initial_spread": 0}],
+                       seeds=[0])
+        assert runs == []
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
