@@ -230,54 +230,28 @@ def apply_order(book: OrderBook, agent: FluidAgent) -> InteractionOutcome:
                               obstacle_notional, order_notional, True)
 
 
-_TAGS = ("init", "passive", "residual", "regen", "trade", "consume")
+def reconcile(book: OrderBook) -> bool:
+    """Replay the journal; True when the replay rebuilds both sides of
+    the live book bit for bit.
 
-
-@dataclass
-class ReconcileReport:
-    """Outcome of replaying the journal against the live book."""
-
-    exact: bool
-    identity_gap: dict[Side, float]
-
-
-def reconcile(book: OrderBook) -> ReconcileReport:
-    """Replay the journal and compare with the live book.
-
-    The replay repeats the same float operations in the same order, so
-    `exact` demands bitwise equality of every level. The aggregate
-    identity (initial + added - removed vs resting total) re-sums the
-    same amounts in a different association and is reported as a gap,
-    which is zero only up to float rounding.
+    The replay repeats the book's float operations in the same order, so
+    a size changed without a journal entry, or an entry whose amount the
+    book did not apply, shows up as a mismatch. A consumed level must
+    leave with the replayed size its entry records.
     """
-    # The loop picks each side's dicts by identity: indexing a Side-keyed
+    # The loop picks each side's dict by identity: indexing a Side-keyed
     # dict per entry would hash an Enum, which is Python-level.
     buy_sizes: dict[int, float] = {}
     sell_sizes: dict[int, float] = {}
-    buy_agg, sell_agg = dict.fromkeys(_TAGS, 0.0), dict.fromkeys(_TAGS, 0.0)
     for op, side, price, amount in book.journal:
-        if side is BUY:
-            sizes, totals = buy_sizes, buy_agg
-        else:
-            sizes, totals = sell_sizes, sell_agg
-        totals[op] += amount
+        sizes = buy_sizes if side is BUY else sell_sizes
         if op == "init" or op == "regen":
             sizes[price] = amount
         elif op == "passive" or op == "residual":
             sizes[price] += amount
         elif op == "trade":
             sizes[price] -= amount
-        elif op == "consume":
-            del sizes[price]
-
-    live = {BUY: dict(zip(book._buy_ticks, book.buy_sizes)),
-            SELL: dict(zip(book._sell_ticks, book.sell_sizes))}
-    agg = {BUY: buy_agg, SELL: sell_agg}
-    gap = {}
-    for side, a in agg.items():
-        expected = (a["init"] + a["passive"] + a["residual"] + a["regen"]
-                    - a["trade"] - a["consume"])
-        gap[side] = abs(sum(live[side].values()) - expected)
-    return ReconcileReport(
-        exact=buy_sizes == live[BUY] and sell_sizes == live[SELL],
-        identity_gap=gap)
+        elif op == "consume" and sizes.pop(price) != amount:
+            return False
+    return (buy_sizes == dict(zip(book._buy_ticks, book.buy_sizes))
+            and sell_sizes == dict(zip(book._sell_ticks, book.sell_sizes)))

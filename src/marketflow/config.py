@@ -70,6 +70,17 @@ class SimConfig:
                 f"{self.initial_spread}, steps = {self.steps}: 2 * initial_bid "
                 "+ initial_spread + steps must stay below 2**53, or mid prices "
                 "lose their half ticks")
+        # A level grows by at most one agent, itself a kernel size, per
+        # tick, and no price exceeds initial_bid + initial_spread + steps
+        # + 9, so this bounds every notional, with a factor 2 for the
+        # difference of two in the viscosity.
+        top = 2 * near * (self.steps + 1) * (
+            self.initial_bid + self.initial_spread + self.steps + 9)
+        if not top < math.inf:
+            raise ValueError(
+                f"m = {self.m!r}, h = {self.h!r}, steps = {self.steps}: level "
+                "sizes up to (steps + 1) * 2 * m * W(0; h) times the prices "
+                "give notionals that can overflow")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         # smoothing_window may exceed steps; the moving average truncates

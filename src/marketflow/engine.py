@@ -73,8 +73,7 @@ def run(config: SimConfig) -> SeriesBundle:
     sampler = AgentSampler(config.collision_probability, config.seed)
     ticks = [step(book, sampler, config, t) for t in range(config.steps)]
 
-    report = reconcile(book)
-    if not report.exact:
+    if not reconcile(book):
         raise RuntimeError("volume ledger failed to reconcile against the journal")
 
     return SeriesBundle(

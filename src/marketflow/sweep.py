@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 from .config import SimConfig
 from .engine import run
-from .physics import DegenerateBookError, FlowRegime, reynolds_closed_form
+from .physics import DegenerateBookError, reynolds_closed_form
 
 
 def default_speed_grid() -> list[float]:
@@ -60,29 +61,29 @@ def surface_spread(l_grid: Iterable[float], p_grid: Iterable[float],
 
 @dataclass
 class RunSummary:
-    """Per-run statistics used by multi-seed comparisons."""
+    """Per-run statistics used by multi-seed comparisons. A run that
+    stopped at a tick has only its error; a regime it never reached has
+    no count."""
 
     config: SimConfig
     seed: int
-    final_mu: float | None
-    final_reynolds: float | None
-    max_reynolds: float | None
-    regime_counts: dict[str, int]
+    final_mu: float | None = None
+    final_reynolds: float | None = None
+    max_reynolds: float | None = None
+    regime_counts: dict[str, int] = field(default_factory=dict)
     error: str | None = None
 
 
 def _summarize(config: SimConfig) -> RunSummary:
     bundle = run(config)
-    counts = {regime.value: 0 for regime in FlowRegime}
-    for tick in bundle.ticks:
-        counts[tick.regime.value] += 1
     return RunSummary(
         config=config,
         seed=config.seed,
         final_mu=bundle.smoothed_mu[-1],
         final_reynolds=bundle.smoothed_reynolds[-1],
         max_reynolds=max(t.reynolds for t in bundle.ticks),
-        regime_counts=counts,
+        # _value_ is a plain attribute; .value goes through a descriptor
+        regime_counts=Counter(tick.regime._value_ for tick in bundle.ticks),
     )
 
 
@@ -106,9 +107,5 @@ def batch_runs(base: SimConfig, param_grid: Iterable[Mapping],
         try:
             out.append(_summarize(config))
         except DegenerateBookError as exc:
-            counts = {regime.value: 0 for regime in FlowRegime}
-            out.append(RunSummary(
-                config=config, seed=config.seed, final_mu=None,
-                final_reynolds=None, max_reynolds=None,
-                regime_counts=counts, error=str(exc)))
+            out.append(RunSummary(config, config.seed, error=str(exc)))
     return out

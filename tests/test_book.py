@@ -199,10 +199,25 @@ class TestLedger:
             sampler = AgentSampler(0.5, seed=seed)
             for _ in range(300):
                 apply_order(book, sampler.sample(book))
-            report = reconcile(book)
-            assert report.exact
-            for side in (Side.BUY, Side.SELL):
-                assert report.identity_gap[side] < 1e-9
+            assert reconcile(book)
+
+    def test_size_changed_without_an_entry_fails(self):
+        book = _book()
+        book.buy_sizes[2] += 1.0
+        assert reconcile(book) is False
+
+    @pytest.mark.parametrize(
+        "op", ["init", "passive", "trade", "consume", "regen", "residual"])
+    def test_altered_journal_amount_fails(self, op):
+        book = _book()
+        apply_order(book, FluidAgent(Side.BUY, 3680, 0.4))
+        apply_order(book, FluidAgent(Side.SELL, 3681, 0.1))
+        apply_order(book, FluidAgent(Side.BUY, 3682, book.sell_sizes[0] + 0.1))
+        assert reconcile(book) is True
+        i = next(i for i, entry in enumerate(book.journal) if entry[0] == op)
+        tag, side, price, amount = book.journal[i]
+        book.journal[i] = (tag, side, price, amount + 1.0)
+        assert reconcile(book) is False
 
     def test_journal_tags_cover_every_mutation(self):
         book = _book()
@@ -220,4 +235,4 @@ class TestLedger:
         book = _book()
         apply_order(book, FluidAgent(Side.BUY, 3680, 0.4))
         assert book.journal[-1] == ("passive", Side.BUY, 3680, 0.4)
-        assert reconcile(book).exact
+        assert reconcile(book) is True

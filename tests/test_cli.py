@@ -92,6 +92,7 @@ def test_bad_config_returns_error_code(tmp_path, capsys):
     (1e-320, 10.0),        # sizes underflow to zero
     (float("inf"), 10.0),  # infinite sizes
     (1.7e308, 0.5),        # the nearest sizes overflow
+    (6.2e307, 0.5),        # sizes are finite, 450 ticks of notionals are not
 ])
 def test_doomed_kernel_config_is_rejected(tmp_path, capsys, m, h):
     with pytest.raises(ValueError):

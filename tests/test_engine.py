@@ -7,6 +7,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+from marketflow import engine
 from marketflow.book import reconcile
 from marketflow.config import SimConfig
 from marketflow.engine import run, smooth_series, smooth_viscosity
@@ -156,7 +157,12 @@ class TestRun:
 
     def test_ledger_reconciles(self):
         bundle = run(SimConfig(steps=150, seed=14))
-        assert reconcile(bundle.final_book).exact
+        assert reconcile(bundle.final_book) is True
+
+    def test_ledger_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(engine, "reconcile", lambda book: False)
+        with pytest.raises(RuntimeError, match="reconcile"):
+            run(SimConfig(steps=5))
 
     def test_configured_probability_drives_turbulence(self):
         base = SimConfig(steps=450)

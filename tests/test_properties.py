@@ -1,6 +1,9 @@
 """Property test over a bounded configuration space: every config that
-builds either completes or stops with the package's typed error, which
-names the tick."""
+builds either completes, with no NaN in its records or smoothed series,
+or stops with the package's typed error, which names the tick."""
+
+import math
+from dataclasses import astuple
 
 import pytest
 
@@ -12,14 +15,15 @@ from marketflow.engine import run
 from marketflow.physics import DegenerateBookError
 
 # Small bids reach the price floor within 200 ticks, h below about 0.35
-# is rejected for small m, and bids near 2**52 probe the half-tick
-# bound, so the space holds completed, typed-failure and rejected cases.
+# is rejected for small m, bids near 2**52 probe the half-tick bound,
+# and m near the float maximum probes the notional overflow bound, so
+# the space holds completed, typed-failure and rejected cases.
 # Field values, not configs: SimConfig rejects a bad one as it is built,
 # which would fail the draw itself.
 FIELDS = st.fixed_dictionaries(dict(
     initial_bid=st.integers(1, 2**53),
     initial_spread=st.integers(1, 40),
-    m=st.floats(1e-3, 1e6),
+    m=st.floats(1e-3, 1e308),
     h=st.floats(0.2, 200.0),
     collision_probability=st.floats(0.0, 1.0),
     steps=st.integers(1, 200),
@@ -43,3 +47,6 @@ def test_valid_config_completes_or_fails_typed(fields):
         return
     assert len(bundle.ticks) == config.steps
     assert len(bundle.smoothed_mu) == len(bundle.smoothed_reynolds) == config.steps
+    values = [v for tick in bundle.ticks for v in astuple(tick)]
+    values += bundle.smoothed_mu + bundle.smoothed_reynolds
+    assert not any(isinstance(v, float) and math.isnan(v) for v in values)
