@@ -7,8 +7,11 @@ rests in the book (passive) or trades against the best opposite level
 it, moves that quote one tick outward, appends one far-end level, and
 any residual agent size rests on the traded side's new best level.
 
-Every mutation is journaled so the final state can be reconciled
-bit-exactly against a replay of the journal.
+Ten contiguous ticks per side, an uncrossed book and positive sizes
+hold by construction under `SimConfig`'s rules, so nothing scans the
+book per tick. Every mutation is journaled; the end-of-run replay
+rebuilds the final state bit for bit and finds every intermediate size
+positive. The one runtime check is the price floor in `consume_best`.
 """
 
 from __future__ import annotations
@@ -140,12 +143,18 @@ class OrderBook:
     def consume_best(self, side: Side) -> float:
         """Remove the best level, move the quote one tick outward and
         append a far level sized at the new quotes; returns the removed
-        size."""
+        size. Raises `DegenerateBookError`, with the book untouched, when
+        the far level would sit below price 1: the only path that lowers
+        a price."""
         sizes, ticks, step = self._side(side)
+        far = ticks[-1] + step
+        if far < 1:
+            raise DegenerateBookError(
+                f"price floor: a full fill at bid {self.bid} (ask {self.ask}) "
+                f"would put a buy level at price {far}")
         size = sizes.pop(0)
         price = ticks.pop(0)
         self.journal.append(("consume", side, price, size))
-        far = ticks[-1] + step
         ticks.append(far)
         self.bid, self.ask = self._buy_ticks[0], self._sell_ticks[0]
         far_size = self.size_at(far)
@@ -158,8 +167,10 @@ class OrderBook:
     def check(self) -> None:
         """Ten positive sizes per side and an uncrossed book.
 
-        The common case is decided in C; only a failure walks the levels
-        to name the offending side and price. `0.0 < size` is false for
+        Runs do not call this: `reconcile` witnesses every step. It is
+        for the final book and for a book altered by hand. The common
+        case is decided in C; only a failure walks the levels to name
+        the offending side and price. `0.0 < size` is false for
         zero, negative and NaN sizes alike.
         """
         buys, sells = self.buy_sizes, self.sell_sizes
@@ -231,13 +242,15 @@ def apply_order(book: OrderBook, agent: FluidAgent) -> InteractionOutcome:
 
 
 def reconcile(book: OrderBook) -> bool:
-    """Replay the journal; True when the replay rebuilds both sides of
-    the live book bit for bit.
+    """Replay the journal; True when every size the replay sets or
+    updates is positive and the replay rebuilds both sides of the live
+    book bit for bit.
 
     The replay repeats the book's float operations in the same order, so
     a size changed without a journal entry, or an entry whose amount the
     book did not apply, shows up as a mismatch. A consumed level must
-    leave with the replayed size its entry records.
+    leave with the replayed size its entry records. The positivity test
+    on each step stands in for a per-tick `OrderBook.check`.
     """
     # The loop picks each side's dict by identity: indexing a Side-keyed
     # dict per entry would hash an Enum, which is Python-level.
@@ -245,13 +258,20 @@ def reconcile(book: OrderBook) -> bool:
     sell_sizes: dict[int, float] = {}
     for op, side, price, amount in book.journal:
         sizes = buy_sizes if side is BUY else sell_sizes
-        if op == "init" or op == "regen":
-            sizes[price] = amount
-        elif op == "passive" or op == "residual":
-            sizes[price] += amount
+        if op == "passive" or op == "residual":
+            size = sizes[price] + amount
         elif op == "trade":
-            sizes[price] -= amount
-        elif op == "consume" and sizes.pop(price) != amount:
+            size = sizes[price] - amount
+        elif op == "consume":
+            if sizes.pop(price) != amount:
+                return False
+            continue
+        elif op == "init" or op == "regen":
+            size = amount
+        else:
             return False
+        if not size > 0.0:  # also false for NaN
+            return False
+        sizes[price] = size
     return (buy_sizes == dict(zip(book._buy_ticks, book.buy_sizes))
             and sell_sizes == dict(zip(book._sell_ticks, book.sell_sizes)))

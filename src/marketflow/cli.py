@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 
 from .config import CONFIG_FIELDS, SimConfig
 from .engine import run
@@ -80,6 +81,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"simulate: {config.steps} ticks, final spread {last.ask - last.bid}, "
           f"final smoothed viscosity {bundle.smoothed_mu[-1]:.6f}, "
           f"final smoothed Reynolds {bundle.smoothed_reynolds[-1]:.6f}")
+    # The journal's tags count the events, after the run: no tick cost.
+    tags = Counter(entry[0] for entry in bundle.final_book.journal)
+    print(f"simulate: events {tags['passive']} passive, {tags['trade']} partial, "
+          f"{tags['consume']} full, {tags['residual']} residual")
     for path in written:
         print(f"wrote {path}")
     return 0

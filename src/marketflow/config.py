@@ -36,8 +36,9 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if type(value) not in (int, float):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-        if self.initial_bid < 1:
-            raise ValueError("initial_bid must be >= 1")
+        # Ten buy levels from the bid down, all at prices >= 1.
+        if self.initial_bid < 10:
+            raise ValueError("initial_bid must be >= 10")
         if self.initial_spread < 1:
             raise ValueError("initial_spread must be >= 1")
         if not 0 < self.m < math.inf:

@@ -38,7 +38,6 @@ def step(book: OrderBook, sampler: AgentSampler, config: SimConfig, t: int) -> T
     try:
         agent = sampler.sample(book)
         outcome = apply_order(book, agent)
-        book.check()
 
         bid, ask = book.bid, book.ask
         v_t = outcome.price_change

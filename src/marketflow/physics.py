@@ -18,8 +18,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class DegenerateBookError(ValueError):
-    """Raised when the book breaks an invariant (a non-positive size, a
-    crossed book) or a computation meets an obstacle with zero notional."""
+    """Raised when a run reaches the price floor: a full fill on the buy
+    side would put a level below price 1. `OrderBook.check` also raises
+    it for a book that breaks an invariant (a level count other than
+    ten, a non-positive size, a crossed book)."""
 
 
 class FlowRegime(Enum):
@@ -76,12 +78,11 @@ def collision_ratio(outcome: "InteractionOutcome") -> float:
 
     Clamped to [0, 1]; 0 on passive ticks. The clamp keeps the odds
     transform defined when a residual-fattened order overshoots the
-    resting level.
+    resting level. The obstacle notional is positive: the book's price
+    floor keeps every level at a price >= 1.
     """
     if not outcome.collision:
         return 0.0
-    if outcome.obstacle_notional <= 0.0:
-        raise DegenerateBookError("obstacle notional must be positive")
     return min(outcome.order_notional / outcome.obstacle_notional, 1.0)
 
 

@@ -219,6 +219,20 @@ class TestLedger:
         book.journal[i] = (tag, side, price, amount + 1.0)
         assert reconcile(book) is False
 
+    def test_non_positive_intermediate_size_fails(self):
+        # s - 2s and then -s + 2s are exact, so the final sizes still
+        # match the live book, but the replay passes through -s
+        book = _book()
+        s, p = book.buy_sizes[3], book.prices(Side.BUY)[3]
+        book.journal += [("trade", Side.BUY, p, 2 * s),
+                         ("passive", Side.BUY, p, 2 * s)]
+        assert reconcile(book) is False
+
+    def test_unknown_tag_fails(self):
+        book = _book()
+        book.journal.append(("refill", Side.BUY, book.bid, 1.0))
+        assert reconcile(book) is False
+
     def test_journal_tags_cover_every_mutation(self):
         book = _book()
         ask_size = book.sell_sizes[3682 - book.ask]

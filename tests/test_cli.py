@@ -1,5 +1,7 @@
 """End-to-end tests of the command line interface."""
 
+import re
+
 import pytest
 
 from marketflow import sweep
@@ -47,6 +49,27 @@ def test_simulate_prints_the_final_spread(tmp_path, capsys):
     last = _rows(out / "series.csv")[-1].split(",")
     bid, ask = int(last[1]), int(last[2])
     assert f"final spread {ask - bid}," in capsys.readouterr().out
+
+
+def test_simulate_prints_the_event_counts(tmp_path, capsys):
+    main(["simulate", "--out", str(tmp_path), "--seed", "0", "--steps", "300",
+          "--collision-probability", "0.5"])
+    found = re.search(r"^simulate: events (\d+) passive, (\d+) partial, "
+                      r"(\d+) full, (\d+) residual$", capsys.readouterr().out,
+                      re.MULTILINE)
+    passive, partial, full, residual = map(int, found.groups())
+    # every tick is exactly one of passive, partial and full; a residual
+    # rides on a full fill
+    assert passive + partial + full == 300
+    assert passive > 0 and partial > 0 and 0 < residual <= full
+
+
+def test_price_floor_is_a_typed_error_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["simulate", "--bid", "10", "--steps", "10", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: tick 0: price floor: ")
+    assert not out.exists()
 
 
 def test_simulate_svg_flag(tmp_path):

@@ -225,9 +225,15 @@ class TestRun:
             SimConfig(**{name: value})
 
     def test_degenerate_book_error_names_the_tick(self):
-        # a bid of 1 reaches price 0, where the obstacle notional vanishes
-        with pytest.raises(DegenerateBookError, match=r"^tick \d+:"):
-            run(SimConfig(initial_bid=1))
+        # a bid of 10 reaches the price floor at tick 0 for seed 0
+        with pytest.raises(DegenerateBookError,
+                           match=r"^tick 0: price floor: .* bid 10 \(ask 11\)"):
+            run(SimConfig(initial_bid=10, steps=10))
+
+    def test_bid_below_ten_is_rejected(self):
+        with pytest.raises(ValueError, match="initial_bid must be >= 10"):
+            SimConfig(initial_bid=9)
+        SimConfig(initial_bid=10)
 
     def test_returns_are_scaled_mid_changes(self):
         bundle = run(SimConfig(steps=80, seed=21))

@@ -152,7 +152,7 @@ class TestGridCsv:
 class TestBatchCsv:
     def test_rows_and_error_column(self, tmp_path):
         base = SimConfig(steps=10)
-        cells = [{"initial_spread": 1}, {"initial_bid": 1}]
+        cells = [{"initial_spread": 1}, {"initial_bid": 10}]
         summaries = batch_runs(base, cells, seeds=[0, 1])
         path = tmp_path / "batch.csv"
         write_batch_csv(summaries, str(path))
@@ -163,7 +163,7 @@ class TestBatchCsv:
         bad = data[3].split(",")
         assert good[-1] == ""
         assert good[5] != ""
-        assert bad[-1].startswith("tick ")
+        assert bad[-1].startswith("tick 0: price floor")
         assert bad[5] == ""
 
 

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from marketflow.book import InteractionOutcome
+from marketflow.book import (FluidAgent, InteractionOutcome, Side,
+                             apply_order, init_book)
+from marketflow.config import SimConfig
 from marketflow.physics import (
     DegenerateBookError,
     FlowRegime,
@@ -125,9 +127,21 @@ class TestCollisionRatio:
     def test_clamped_at_one(self):
         assert collision_ratio(_outcome(obstacle=100.0, order=250.0)) == 1.0
 
-    def test_degenerate_obstacle_rejected(self):
-        with pytest.raises(DegenerateBookError):
-            collision_ratio(_outcome(obstacle=0.0))
+    def test_price_floor_keeps_obstacle_notionals_positive(self):
+        # every level sits at price >= 1, so an obstacle notional is a
+        # positive size times a price >= 1; the full fill that would put
+        # a buy level at price 0 raises and leaves the book untouched
+        book = init_book(SimConfig(initial_bid=11))
+        out = apply_order(book, FluidAgent(Side.SELL, 11, book.buy_sizes[0]))
+        assert book.prices(Side.BUY)[-1] == 1
+        assert collision_ratio(out) > 0.0
+        state = (book.bid, book.ask, list(book.buy_sizes),
+                 list(book.sell_sizes), list(book.journal))
+        with pytest.raises(DegenerateBookError,
+                           match=r"^price floor: .* bid 10 \(ask 12\) .* price 0$"):
+            apply_order(book, FluidAgent(Side.SELL, 10, book.buy_sizes[0]))
+        assert state == (book.bid, book.ask, list(book.buy_sizes),
+                         list(book.sell_sizes), list(book.journal))
 
 
 class TestReynoldsTick:

@@ -138,10 +138,10 @@ class TestBatchRuns:
 
     def test_errors_are_captured_per_cell(self):
         base = SimConfig(steps=10)
-        # a bid of 1 is valid, and its book degenerates at a tick
-        cells = [{"initial_bid": 1}, {"initial_spread": 1}]
+        # a bid of 10 is valid, and its run reaches the price floor
+        cells = [{"initial_bid": 10}, {"initial_spread": 1}]
         summaries = batch_runs(base, cells, seeds=[0])
-        assert summaries[0].error.startswith("tick ")
+        assert summaries[0].error.startswith("tick 0: price floor")
         assert summaries[0].final_mu is None
         assert summaries[1].error is None
         assert summaries[1].final_mu is not None
