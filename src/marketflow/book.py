@@ -7,11 +7,13 @@ rests in the book (passive) or trades against the best opposite level
 it, moves that quote one tick outward, appends one far-end level, and
 any residual agent size rests on the traded side's new best level.
 
-Ten contiguous ticks per side, an uncrossed book and positive sizes
-hold by construction under `SimConfig`'s rules, so nothing scans the
-book per tick. Every mutation is journaled; the end-of-run replay
-rebuilds the final state bit for bit and finds every intermediate size
-positive. The one runtime check is the price floor in `consume_best`.
+Level prices are derived from the quotes, so ten contiguous ticks per
+side, an uncrossed book and positive sizes hold by construction under
+`SimConfig`'s rules; nothing scans the book per tick. The end-of-run
+replay of the journal rebuilds the final state bit for bit, finds every
+intermediate size positive, and checks that each consume takes the best
+level and each regen lands at the new far end. The one runtime check is
+the price floor in `consume_best`.
 """
 
 from __future__ import annotations
@@ -31,12 +33,6 @@ class Side(Enum):
 # Module-level members for the hot paths: `Side.BUY` is a Python-level
 # Enum descriptor lookup, a global is a dict hit.
 BUY, SELL = Side
-
-
-@dataclass
-class PriceLevel:
-    price: int
-    size: float
 
 
 @dataclass(slots=True)
@@ -90,55 +86,44 @@ class OrderBook:
     """Two quotes and ten sizes per side, indexed by depth from the best.
 
     Level i sits at `bid - i` on the buy side and `ask + i` on the sell
-    side, so ordering, contiguity and the level count hold by
-    construction. Passive orders add to sizes, partial fills shrink
-    them, and the journal records each of those float operations. The
-    book holds the run's kernel (m, h): `size_at` sizes its own levels
-    and the sampler's agents.
+    side: prices are derived, never stored, so ordering, contiguity and
+    the level count hold by construction. Passive orders add to sizes,
+    partial fills shrink them, and the journal records each of those
+    float operations at its level's price. The book holds the run's
+    kernel (m, h): `size_at` sizes its own levels and the sampler's agents.
     """
 
     def __init__(self, bid: int, ask: int, m: float, h: float):
         self.bid = bid
         self.ask = ask
         self._sizes = SizeMemo(m, h)
-        # Each side's prices, shifted only when its quote moves, so the
-        # journal holds one shared int object per level.
-        self._buy_ticks = [bid - i for i in range(10)]
-        self._sell_ticks = [ask + i for i in range(10)]
-        self.buy_sizes = [self.size_at(p) for p in self._buy_ticks]
-        self.sell_sizes = [self.size_at(p) for p in self._sell_ticks]
-        self.journal: list[tuple[str, Side, int, float]] = [
-            ("init", side, lv.price, lv.size)
-            for side in (BUY, SELL) for lv in self.levels(side)]
+        self.buy_sizes = [self.size_at(bid - i) for i in range(10)]
+        self.sell_sizes = [self.size_at(ask + i) for i in range(10)]
+        self.journal: list[tuple[str, Side, int, float]] = (
+            [("init", BUY, bid - i, size) for i, size in enumerate(self.buy_sizes)]
+            + [("init", SELL, ask + i, size) for i, size in enumerate(self.sell_sizes)])
 
-    def _side(self, side: Side) -> tuple[list[float], list[int], int]:
-        """(sizes, prices, outward tick step) of one side."""
+    def _side(self, side: Side) -> tuple[list[float], int, int]:
+        """(sizes, best price, outward tick step) of one side."""
         if side is BUY:
-            return self.buy_sizes, self._buy_ticks, -1
-        return self.sell_sizes, self._sell_ticks, 1
+            return self.buy_sizes, self.bid, -1
+        return self.sell_sizes, self.ask, 1
 
     def size_at(self, price: int) -> float:
         """Kernel size at `price` against the current quotes."""
         return self._sizes.size_at(price, self.bid, self.ask)
 
-    def prices(self, side: Side) -> list[int]:
-        return list(self._side(side)[1])
-
-    def levels(self, side: Side) -> list[PriceLevel]:
-        sizes, ticks, _ = self._side(side)
-        return [PriceLevel(p, size) for p, size in zip(ticks, sizes)]
-
     # --- journaled mutations -------------------------------------------
 
     def add_size(self, side: Side, depth: int, amount: float, tag: str) -> None:
-        sizes, ticks, _ = self._side(side)
+        sizes, best, step = self._side(side)
         sizes[depth] += amount
-        self.journal.append((tag, side, ticks[depth], amount))
+        self.journal.append((tag, side, best + step * depth, amount))
 
     def take_best(self, side: Side, amount: float) -> None:
-        sizes, ticks, _ = self._side(side)
+        sizes, best, _ = self._side(side)
         sizes[0] -= amount
-        self.journal.append(("trade", side, ticks[0], amount))
+        self.journal.append(("trade", side, best, amount))
 
     def consume_best(self, side: Side) -> float:
         """Remove the best level, move the quote one tick outward and
@@ -146,17 +131,18 @@ class OrderBook:
         size. Raises `DegenerateBookError`, with the book untouched, when
         the far level would sit below price 1: the only path that lowers
         a price."""
-        sizes, ticks, step = self._side(side)
-        far = ticks[-1] + step
+        sizes, best, step = self._side(side)
+        far = best + step * 10
         if far < 1:
             raise DegenerateBookError(
                 f"price floor: a full fill at bid {self.bid} (ask {self.ask}) "
                 f"would put a buy level at price {far}")
         size = sizes.pop(0)
-        price = ticks.pop(0)
-        self.journal.append(("consume", side, price, size))
-        ticks.append(far)
-        self.bid, self.ask = self._buy_ticks[0], self._sell_ticks[0]
+        self.journal.append(("consume", side, best, size))
+        if side is BUY:
+            self.bid -= 1
+        else:
+            self.ask += 1
         far_size = self.size_at(far)
         sizes.append(far_size)
         self.journal.append(("regen", side, far, far_size))
@@ -178,14 +164,14 @@ class OrderBook:
                 and all(map(_positive, buys)) and all(map(_positive, sells))):
             return
         for side in (BUY, SELL):
-            sizes, ticks, _ = self._side(side)
+            sizes, best, step = self._side(side)
             if len(sizes) != 10:
                 raise DegenerateBookError(
                     f"{side.value} side holds {len(sizes)} levels, want 10")
-            for p, size in zip(ticks, sizes):
+            for i, size in enumerate(sizes):
                 if not size > 0:
-                    raise DegenerateBookError(
-                        f"{side.value} level {p} has non-positive size {size!r}")
+                    raise DegenerateBookError(f"{side.value} level {best + step * i} "
+                                              f"has non-positive size {size!r}")
         if self.bid >= self.ask:
             raise DegenerateBookError(
                 f"book is crossed: bid {self.bid} >= ask {self.ask}")
@@ -243,35 +229,49 @@ def apply_order(book: OrderBook, agent: FluidAgent) -> InteractionOutcome:
 
 def reconcile(book: OrderBook) -> bool:
     """Replay the journal; True when every size the replay sets or
-    updates is positive and the replay rebuilds both sides of the live
-    book bit for bit.
+    updates is positive, every consume takes its side's best level and
+    every regen lands nine ticks past the moved quote, and the replay
+    rebuilds both sides of the live book bit for bit.
 
     The replay repeats the book's float operations in the same order, so
-    a size changed without a journal entry, or an entry whose amount the
-    book did not apply, shows up as a mismatch. A consumed level must
-    leave with the replayed size its entry records. The positivity test
-    on each step stands in for a per-tick `OrderBook.check`.
+    a size changed without a journal entry, or an entry whose amount or
+    price the book did not apply, shows up as a mismatch. These checks
+    stand in for a per-tick `OrderBook.check`.
     """
     # The loop picks each side's dict by identity: indexing a Side-keyed
     # dict per entry would hash an Enum, which is Python-level.
     buy_sizes: dict[int, float] = {}
     sell_sizes: dict[int, float] = {}
-    for op, side, price, amount in book.journal:
-        sizes = buy_sizes if side is BUY else sell_sizes
-        if op == "passive" or op == "residual":
-            size = sizes[price] + amount
-        elif op == "trade":
-            size = sizes[price] - amount
-        elif op == "consume":
-            if sizes.pop(price) != amount:
+    bid = ask = 0  # the replayed quotes
+    try:
+        for op, side, price, amount in book.journal:
+            sizes = buy_sizes if side is BUY else sell_sizes
+            if op == "passive" or op == "residual":
+                size = sizes[price] + amount
+            elif op == "trade":
+                size = sizes[price] - amount
+            elif op == "consume":
+                if side is BUY:
+                    best, bid = bid, bid - 1
+                else:
+                    best, ask = ask, ask + 1
+                if price != best or sizes.pop(price) != amount:
+                    return False
+                continue
+            elif op == "regen":
+                if price != (bid - 9 if side is BUY else ask + 9):
+                    return False
+                size = amount
+            elif op == "init":
+                if not sizes:  # a side's first level is its best
+                    bid, ask = (price, ask) if side is BUY else (bid, price)
+                size = amount
+            else:
                 return False
-            continue
-        elif op == "init" or op == "regen":
-            size = amount
-        else:
-            return False
-        if not size > 0.0:  # also false for NaN
-            return False
-        sizes[price] = size
-    return (buy_sizes == dict(zip(book._buy_ticks, book.buy_sizes))
-            and sell_sizes == dict(zip(book._sell_ticks, book.sell_sizes)))
+            if not size > 0.0:  # also false for NaN
+                return False
+            sizes[price] = size
+    except KeyError:  # no replayed level at that price
+        return False
+    return (buy_sizes == {book.bid - i: s for i, s in enumerate(book.buy_sizes)}
+            and sell_sizes == {book.ask + i: s for i, s in enumerate(book.sell_sizes)})

@@ -15,7 +15,6 @@ from operator import attrgetter
 
 import numpy as np
 
-from .book import Side
 from .engine import SeriesBundle
 from .io import _atomic_write
 from .sweep import SurfaceGrid
@@ -94,16 +93,15 @@ def _range_labels(x0, y0, y_range):
 
 def _depth_panel(bundle, x0, y0):
     book = bundle.final_book
-    buys = list(reversed(book.levels(Side.BUY)))
-    sells = book.levels(Side.SELL)
-    levels = [(lv, "#4878b0") for lv in buys] + [(lv, "#b05048") for lv in sells]
-    peak = max(lv.size for lv, _ in levels)
+    levels = ([(size, "#4878b0") for size in reversed(book.buy_sizes)]
+              + [(size, "#b05048") for size in book.sell_sizes])
+    peak = max(size for size, _ in levels)
     inner_w = PANEL_W - PAD_L - PAD_R
     inner_h = PANEL_H - PAD_T - PAD_B
     bar_w = inner_w / len(levels)
     parts = [_panel_frame(x0, y0, "(a) final order book")]
-    for i, (lv, color) in enumerate(levels):
-        bh = 0.0 if peak == 0 else lv.size / peak * (inner_h - 4)
+    for i, (size, color) in enumerate(levels):
+        bh = 0.0 if peak == 0 else size / peak * (inner_h - 4)
         bx = x0 + PAD_L + i * bar_w
         by = y0 + PANEL_H - PAD_B - bh
         parts.append(f'<rect x="{bx:.2f}" y="{by:.2f}" width="{bar_w * 0.85:.2f}" '

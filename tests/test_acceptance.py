@@ -161,9 +161,10 @@ def test_criterion_04_sampling_frequencies_within_three_sigma():
         sampler = AgentSampler(p, seed=1000 + int(p * 100))
         collisions = 0
         buys = 0
-        level_counts = {(side, price): 0
-                        for side in (Side.BUY, Side.SELL)
-                        for price in book.prices(side)}
+        level_counts = {(side, best + step * i): 0
+                        for side, best, step in ((Side.BUY, book.bid, -1),
+                                                 (Side.SELL, book.ask, 1))
+                        for i in range(10)}
         for _ in range(n):
             agent = sampler.sample(book)
             buys += agent.side is Side.BUY

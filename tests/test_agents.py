@@ -62,7 +62,10 @@ def test_prices_stay_in_the_sample_space():
     sampler = AgentSampler(0.3, seed=9)
     for _ in range(2000):
         agent = sampler.sample(book)
-        own = set(book.prices(agent.side))
+        if agent.side is Side.BUY:
+            own = {book.bid - i for i in range(len(book.buy_sizes))}
+        else:
+            own = {book.ask + i for i in range(len(book.sell_sizes))}
         collision = book.ask if agent.side is Side.BUY else book.bid
         assert agent.price in own | {collision}
 

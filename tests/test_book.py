@@ -23,8 +23,10 @@ class TestInitBook:
         book = _book(initial_bid=3681, initial_spread=1)
         assert book.bid == 3681
         assert book.ask == 3682
-        assert book.prices(Side.BUY) == list(range(3681, 3671, -1))
-        assert book.prices(Side.SELL) == list(range(3682, 3692))
+        assert [book.bid - i for i in range(len(book.buy_sizes))] == \
+            list(range(3681, 3671, -1))
+        assert [book.ask + i for i in range(len(book.sell_sizes))] == \
+            list(range(3682, 3692))
 
     def test_wide_spread_layout(self):
         book = _book(initial_bid=3681, initial_spread=20)
@@ -33,9 +35,10 @@ class TestInitBook:
 
     def test_sizes_come_from_the_kernel(self):
         book = _book()
-        for side in (Side.BUY, Side.SELL):
-            for lv in book.levels(side):
-                assert lv.size == size_at(lv.price, 3681, 3682, 2000.0, 10.0)
+        for sizes, best, step in ((book.buy_sizes, book.bid, -1),
+                                  (book.sell_sizes, book.ask, 1)):
+            for i, size in enumerate(sizes):
+                assert size == size_at(best + step * i, 3681, 3682, 2000.0, 10.0)
 
     def test_invariants_hold(self):
         for spread in (1, 2, 20):
@@ -95,9 +98,8 @@ class TestActiveOrders:
         book = _book()
         ask_size = book.sell_sizes[3682 - book.ask]
         apply_order(book, FluidAgent(Side.BUY, 3682, ask_size))
-        sells = book.prices(Side.SELL)
-        assert len(sells) == 10
-        assert sells[-1] == 3692
+        assert len(book.sell_sizes) == 10
+        assert book.ask + len(book.sell_sizes) - 1 == 3692
         # sized against the post-removal anchors
         assert book.sell_sizes[3692 - book.ask] == \
             size_at(3692, 3681, 3683, 2000.0, 10.0)
@@ -136,7 +138,7 @@ class TestActiveOrders:
         for _ in range(2):
             book = _book()
             out = apply_order(book, FluidAgent(Side.BUY, 3682, 0.3))
-            results.append((out, book.levels(Side.SELL)))
+            results.append((out, book.ask, list(book.sell_sizes)))
         assert results[0] == results[1]
 
 
@@ -145,8 +147,7 @@ class TestRegeneration:
         book = _book()
         bid_size = book.buy_sizes[book.bid - 3681]
         apply_order(book, FluidAgent(Side.SELL, 3681, bid_size))
-        buys = book.prices(Side.BUY)
-        assert buys[-1] == 3671
+        assert book.bid - (len(book.buy_sizes) - 1) == 3671
         assert book.buy_sizes[book.bid - 3671] == \
             size_at(3671, 3680, 3682, 2000.0, 10.0)
 
@@ -223,9 +224,44 @@ class TestLedger:
         # s - 2s and then -s + 2s are exact, so the final sizes still
         # match the live book, but the replay passes through -s
         book = _book()
-        s, p = book.buy_sizes[3], book.prices(Side.BUY)[3]
+        s, p = book.buy_sizes[3], book.bid - 3
         book.journal += [("trade", Side.BUY, p, 2 * s),
                          ("passive", Side.BUY, p, 2 * s)]
+        assert reconcile(book) is False
+
+    @pytest.mark.parametrize("op", ["passive", "trade", "residual", "consume"])
+    def test_entry_at_no_live_level_fails(self, op):
+        book = _book()
+        book.journal.append((op, Side.BUY, 5, 1.0))
+        assert reconcile(book) is False
+
+    def test_consume_below_the_best_fails(self):
+        # consuming depth 3 and regenerating it in place leaves the same
+        # sizes, but a full fill only ever takes the best level
+        book = _book()
+        s, p = book.buy_sizes[3], book.bid - 3
+        book.journal += [("consume", Side.BUY, p, s), ("regen", Side.BUY, p, s)]
+        assert reconcile(book) is False
+
+    def test_consumes_out_of_price_order_fail(self):
+        # two full fills consume the ask and then the next tick; swapped,
+        # the regenerated levels and the final sizes still line up
+        book = _book()
+        for _ in range(2):
+            apply_order(book, FluidAgent(Side.BUY, book.ask, book.sell_sizes[0]))
+        assert reconcile(book) is True
+        first, second = (i for i, entry in enumerate(book.journal)
+                         if entry[0] == "consume")
+        book.journal[first], book.journal[second] = \
+            book.journal[second], book.journal[first]
+        assert reconcile(book) is False
+
+    def test_regen_at_the_vacated_best_fails(self):
+        # the consumed best moves the ask up a tick, so the regenerated
+        # level belongs nine ticks past the new ask, not where it was
+        book = _book()
+        s, p = book.sell_sizes[0], book.ask
+        book.journal += [("consume", Side.SELL, p, s), ("regen", Side.SELL, p, s)]
         assert reconcile(book) is False
 
     def test_unknown_tag_fails(self):
