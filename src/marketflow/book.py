@@ -10,14 +10,15 @@ any residual agent size rests on the traded side's new best level.
 Level prices are derived from the quotes, so ten contiguous ticks per
 side, an uncrossed book and positive sizes hold by construction under
 `SimConfig`'s rules; nothing scans the book per tick. The end-of-run
-replay of the journal rebuilds the final state bit for bit, finds every
-intermediate size positive, and checks that each consume takes the best
-level and each regen lands at the new far end. The one runtime check is
-the price floor in `consume_best`.
+replay of the journal rebuilds the final state bit for bit, finds the
+starting book uncrossed and every intermediate size positive, and checks
+that each consume takes the best level and each regen lands at the new
+far end. The one runtime check is the price floor in `consume_best`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -49,7 +50,9 @@ class InteractionOutcome:
     """What one agent did to the book.
 
     Notionals are captured from the pre-trade state: the obstacle is the
-    best opposite level, the order is the agent itself.
+    best opposite level, the order is the agent itself. `bid` and `ask`
+    are the quotes after the trade; a run keeps those, the volume and the
+    notionals, and derives the rest of its readout from them.
     """
 
     traded_volume: float
@@ -58,6 +61,8 @@ class InteractionOutcome:
     obstacle_notional: float
     order_notional: float
     collision: bool
+    bid: int
+    ask: int
 
 
 _positive = (0.0).__lt__  # a C predicate for check()'s common case
@@ -211,7 +216,7 @@ def apply_order(book: OrderBook, agent: FluidAgent) -> InteractionOutcome:
                 f"nor a resting {own.value} level")
         book.add_size(own, depth, size, "passive")
         return InteractionOutcome(0.0, 0.0, spread_before, obstacle_notional,
-                                  order_notional, False)
+                                  order_notional, False, bid, ask)
 
     if size >= obstacle_size:
         volume = book.consume_best(opp)
@@ -222,16 +227,19 @@ def apply_order(book: OrderBook, agent: FluidAgent) -> InteractionOutcome:
         volume = size
         book.take_best(opp, volume)
 
-    price_change = (book.bid + book.ask) / 2.0 - (bid + ask) / 2.0
+    new_bid, new_ask = book.bid, book.ask
+    price_change = (new_bid + new_ask) / 2.0 - (bid + ask) / 2.0
     return InteractionOutcome(volume, price_change, spread_before,
-                              obstacle_notional, order_notional, True)
+                              obstacle_notional, order_notional, True,
+                              new_bid, new_ask)
 
 
 def reconcile(book: OrderBook) -> bool:
-    """Replay the journal; True when every size the replay sets or
-    updates is positive, every consume takes its side's best level and
-    every regen lands nine ticks past the moved quote, and the replay
-    rebuilds both sides of the live book bit for bit.
+    """Replay the journal; True when the starting quotes are uncrossed,
+    every size the replay sets or updates is positive, every consume
+    takes its side's best level and every regen lands nine ticks past the
+    moved quote, and the replay rebuilds both sides of the live book bit
+    for bit.
 
     The replay repeats the book's float operations in the same order, so
     a size changed without a journal entry, or an entry whose amount or
@@ -242,7 +250,8 @@ def reconcile(book: OrderBook) -> bool:
     # dict per entry would hash an Enum, which is Python-level.
     buy_sizes: dict[int, float] = {}
     sell_sizes: dict[int, float] = {}
-    bid = ask = 0  # the replayed quotes
+    # The replayed quotes; unset, they cannot cross.
+    bid, ask = -math.inf, math.inf
     try:
         for op, side, price, amount in book.journal:
             sizes = buy_sizes if side is BUY else sell_sizes
@@ -265,6 +274,10 @@ def reconcile(book: OrderBook) -> bool:
             elif op == "init":
                 if not sizes:  # a side's first level is its best
                     bid, ask = (price, ask) if side is BUY else (bid, price)
+                    # The bid never rises and the ask never falls, so an
+                    # uncrossed start is an uncrossed book at every step.
+                    if not bid < ask:
+                        return False
                 size = amount
             else:
                 return False

@@ -77,8 +77,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         svg_path = os.path.join(args.out, "series.svg")
         write_svg(series_figure(bundle), svg_path)
         written.append(svg_path)
-    last = bundle.ticks[-1]
-    print(f"simulate: {config.steps} ticks, final spread {last.ask - last.bid}, "
+    book = bundle.final_book
+    print(f"simulate: {config.steps} ticks, final spread {book.ask - book.bid}, "
           f"final smoothed viscosity {bundle.smoothed_mu[-1]:.6f}, "
           f"final smoothed Reynolds {bundle.smoothed_reynolds[-1]:.6f}")
     # The journal's tags count the events, after the run: no tick cost.

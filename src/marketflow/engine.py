@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
 from .agents import AgentSampler
-from .book import OrderBook, apply_order, init_book, reconcile
+from .book import InteractionOutcome, OrderBook, apply_order, init_book, reconcile
 from .config import SimConfig
 from .physics import (
+    REGIMES,
     DegenerateBookError,
     TickRecord,
     classify_flow,
@@ -20,73 +22,111 @@ from .physics import (
 )
 
 
+_TICK_FIELDS = [f.name for f in fields(TickRecord)]
+
+
 @dataclass
 class SeriesBundle:
-    """A completed run: per-tick records, the smoothed series, the
-    config, which reproduces the run exactly, and the final book."""
+    """A completed run: one numpy column per `TickRecord` field, the
+    smoothed series, the config, which reproduces the run exactly, and
+    the final book.
 
-    ticks: list[TickRecord]
+    `columns` maps each field name to an array over the ticks, in field
+    order; `regime` holds indices into `physics.REGIMES`. `ticks` builds
+    the per-tick records from the columns each time it is read.
+    """
+
+    columns: dict[str, np.ndarray]
     smoothed_mu: list[float]
     smoothed_reynolds: list[float]
     config: SimConfig
     final_book: OrderBook
 
+    @property
+    def ticks(self) -> list[TickRecord]:
+        rows = [self.columns[name].tolist() for name in _TICK_FIELDS]
+        rows[-1] = [REGIMES[i] for i in rows[-1]]  # regime
+        return list(map(TickRecord, *rows))
 
-def step(book: OrderBook, sampler: AgentSampler, config: SimConfig, t: int) -> TickRecord:
-    """Sample one agent, apply it, and read out the tick physics. A
+
+def step(book: OrderBook, sampler: AgentSampler, t: int) -> InteractionOutcome:
+    """Sample one agent and apply it: the one per-tick call of a run. A
     `DegenerateBookError` is re-raised with a `tick N: ` prefix."""
     try:
-        agent = sampler.sample(book)
-        outcome = apply_order(book, agent)
-
-        bid, ask = book.bid, book.ask
-        v_t = outcome.price_change
-        mid_after = (bid + ask) / 2.0
-        mid_before = mid_after - v_t
-        spread = outcome.spread_before
-        p = config.collision_probability
-        if p >= 1.0:
-            # closed form rejects the saturated limit; take it explicitly
-            nr = 0.0 if v_t == 0.0 else math.inf
-        else:
-            nr = reynolds_closed_form(v_t, float(spread), p)
-
-        # Positional, in field order: keyword calls into a dataclass
-        # __init__ cost several times more.
-        return TickRecord(
-            t, bid, ask, mid_after,
-            v_t / mid_before,                                     # ret
-            v_t, spread, outcome.traded_volume,
-            viscosity(outcome),                                   # mu
-            collision_ratio(outcome),                             # p_hat
-            nr,                                                   # reynolds
-            classify_flow(nr),                                    # regime
-        )
+        return apply_order(book, sampler.sample(book))
     except DegenerateBookError as exc:
         raise DegenerateBookError(f"tick {t}: {exc}") from exc
 
 
+def _column(outcomes: list[InteractionOutcome], name: str, dtype) -> np.ndarray:
+    return np.fromiter(map(attrgetter(name), outcomes), dtype, len(outcomes))
+
+
+def _readout(outcomes: list[InteractionOutcome], bid0: int, ask0: int,
+             p: float) -> dict[str, np.ndarray]:
+    """The run's `TickRecord` columns from its outcomes, the starting
+    quotes and the configured collision probability, one array pass per
+    quantity.
+
+    v_T is the change of the mid (bid + ask) / 2.0 from the previous
+    tick, and l the previous tick's spread: the values `apply_order`
+    reports, since only a full fill moves a quote. A tick traded
+    exactly when its volume is positive.
+    """
+    bid = _column(outcomes, "bid", np.int64)
+    ask = _column(outcomes, "ask", np.int64)
+    volume = _column(outcomes, "traded_volume", float)
+    # Under SimConfig's 2**53 bound every mid is an exact half tick, so
+    # the mid differences, and mid - v_T, are exact.
+    mid = (bid + ask) / 2.0
+    v_t = mid - np.concatenate(([(bid0 + ask0) / 2.0], mid[:-1]))
+    spread = np.concatenate(([ask0 - bid0], (ask - bid)[:-1]))
+    obstacle = _column(outcomes, "obstacle_notional", float)
+    order = _column(outcomes, "order_notional", float)
+    if p >= 1.0:
+        # the closed form rejects the saturated limit; take it explicitly
+        reynolds = np.where(v_t == 0.0, 0.0, math.inf)
+    else:
+        reynolds = reynolds_closed_form(v_t, spread, p)
+    return {
+        "t": np.arange(len(outcomes)),
+        "bid": bid,
+        "ask": ask,
+        "mid": mid,
+        "ret": v_t / (mid - v_t),
+        "v_t": v_t,
+        "spread": spread,
+        "volume": volume,
+        "mu": viscosity(volume, v_t, obstacle, order),
+        "p_hat": collision_ratio(order, obstacle, volume > 0.0),
+        "reynolds": reynolds,
+        "regime": classify_flow(reynolds),
+    }
+
+
 def run(config: SimConfig) -> SeriesBundle:
-    """Initialize, iterate `steps` ticks, smooth, and bundle the result."""
+    """Initialize, iterate `steps` ticks, reconcile, read out the physics
+    of every tick at once, smooth, and bundle the result."""
     book = init_book(config)
+    bid0, ask0 = book.bid, book.ask
     sampler = AgentSampler(config.collision_probability, config.seed)
-    ticks = [step(book, sampler, config, t) for t in range(config.steps)]
+    outcomes = [step(book, sampler, t) for t in range(config.steps)]
 
     if not reconcile(book):
         raise RuntimeError("volume ledger failed to reconcile against the journal")
 
+    columns = _readout(outcomes, bid0, ask0, config.collision_probability)
     return SeriesBundle(
-        ticks=ticks,
-        smoothed_mu=smooth_viscosity([r.mu for r in ticks], config.viscosity_clamp,
+        columns=columns,
+        smoothed_mu=smooth_viscosity(columns["mu"], config.viscosity_clamp,
                                      config.smoothing_window),
-        smoothed_reynolds=smooth_series([r.reynolds for r in ticks],
-                                        config.smoothing_window),
+        smoothed_reynolds=smooth_series(columns["reynolds"], config.smoothing_window),
         config=config,
         final_book=book,
     )
 
 
-def _trailing_mean(values: list[float], window: int) -> list[float]:
+def _trailing_mean(values, window: int) -> list[float]:
     """Mean of each entry's trailing window, truncated at the head.
 
     Each window is summed from 0.0, oldest entry first, then divided by
@@ -97,7 +137,7 @@ def _trailing_mean(values: list[float], window: int) -> list[float]:
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    x = np.array(values, dtype=float)
+    x = np.asarray(values, dtype=float)
     n = len(x)
     window = min(window, n)  # also keeps a huge window inside int64
     acc = np.zeros(n)
@@ -107,7 +147,7 @@ def _trailing_mean(values: list[float], window: int) -> list[float]:
     return (acc / np.minimum(np.arange(1, n + 1), window)).tolist()
 
 
-def smooth_viscosity(raw: list[float], clamp: float, window: int) -> list[float]:
+def smooth_viscosity(raw, clamp: float, window: int) -> list[float]:
     """Three stages: clamp infinities, normalize by the largest finite
     value of the whole series, then trailing moving average.
 
@@ -116,15 +156,15 @@ def smooth_viscosity(raw: list[float], clamp: float, window: int) -> list[float]
     finite entry becomes all-clamp; an all-zero finite series stays
     zero, since there is no maximum to divide by.
     """
-    clamped = [clamp if math.isinf(v) else v for v in raw]
-    finite = [v for v, orig in zip(clamped, raw) if not math.isinf(orig)]
-    peak = max(finite) if finite else 0.0
+    x = np.asarray(raw, dtype=float)
+    infinite = np.isinf(x)
+    finite = x[~infinite]
+    peak = finite.max() if finite.size else 0.0
     if peak > 0.0:
-        clamped = [v if math.isinf(orig) else v / peak
-                   for v, orig in zip(clamped, raw)]
-    return _trailing_mean(clamped, window)
+        x = x / peak
+    return _trailing_mean(np.where(infinite, clamp, x), window)
 
 
-def smooth_series(raw: list[float], window: int) -> list[float]:
+def smooth_series(raw, window: int) -> list[float]:
     """Trailing moving average, truncated at the series head."""
     return _trailing_mean(raw, window)

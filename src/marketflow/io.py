@@ -16,6 +16,7 @@ from . import __version__
 from .agents import GENERATOR_NAME
 from .config import CONFIG_FIELDS, SimConfig, coerce_field
 from .engine import SeriesBundle
+from .physics import REGIMES
 from .sweep import RunSummary, SurfaceGrid
 
 SERIES_COLUMNS = ("t,bid,ask,mid,return,v_T,l,V,p_hat,mu_raw,mu_smoothed,"
@@ -97,19 +98,27 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 _SERIES_ROW = "%d,%d,%d" + ",%.6f" * 3 + ",%d" + ",%.6f" * 6 + ",%s\n"
+_SERIES_FIELDS = ("t", "bid", "ask", "mid", "ret", "v_t", "spread", "volume",
+                  "p_hat", "mu")
+# Rows formatted per pass: each pass turns its slice of every column into
+# Python objects, so a long run never holds them all at once.
+_BLOCK = 2048
 
 
 def write_series_csv(bundle: SeriesBundle, path: str) -> None:
     """One row per tick. Floats are written with six decimals, and every
     infinity, of either sign, as the token `inf`."""
-    # `_value_` (Enum's documented sunder name) is a plain attribute;
-    # `.value` is a Python-level descriptor call per row.
-    rows = "".join([
-        _SERIES_ROW % (tick.t, tick.bid, tick.ask, tick.mid, tick.ret, tick.v_t,
-                       tick.spread, tick.volume, tick.p_hat, tick.mu, mu_s,
-                       tick.reynolds, nr_s, tick.regime._value_)
-        for tick, mu_s, nr_s in zip(bundle.ticks, bundle.smoothed_mu,
-                                    bundle.smoothed_reynolds)])
+    columns = bundle.columns
+    names = [regime.value for regime in REGIMES]
+    blocks = []
+    for lo in range(0, len(columns["t"]), _BLOCK):
+        cut = slice(lo, lo + _BLOCK)
+        blocks.append("".join([_SERIES_ROW % row for row in zip(
+            *[columns[name][cut].tolist() for name in _SERIES_FIELDS],
+            bundle.smoothed_mu[cut], columns["reynolds"][cut].tolist(),
+            bundle.smoothed_reynolds[cut],
+            [names[i] for i in columns["regime"][cut].tolist()])]))
+    rows = "".join(blocks)
     header = "\n".join(metadata_header(bundle.config) + [SERIES_COLUMNS])
     # %.6f keeps the sign of -inf; rewrite it in the rows, never in the
     # echoed config

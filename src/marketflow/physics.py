@@ -1,9 +1,12 @@
 """Pure fluid-analogy formulas: kernel, viscosity, Reynolds.
 
-All functions are stateless. Singular inputs produce extended-real
-outputs (math.inf) instead of exceptions, because both infinite limits
-carry meaning: infinite viscosity marks a tick with no effective trade,
-an infinite Reynolds number marks a saturated collision.
+All functions are stateless. The kernel is scalar; the per-tick
+readout formulas work elementwise on numpy arrays, one column per
+quantity, and a run applies each once to all its ticks. Singular inputs
+produce extended-real outputs (inf) instead of exceptions, through
+explicit masks, because both infinite limits carry meaning: infinite
+viscosity marks a tick with no effective trade, an infinite Reynolds
+number marks a saturated collision.
 """
 
 from __future__ import annotations
@@ -11,10 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .book import InteractionOutcome
+import numpy as np
 
 
 class DegenerateBookError(ValueError):
@@ -30,8 +31,8 @@ class FlowRegime(Enum):
     TURBULENT = "turbulent"
 
 
-# Module-level members: attribute access on an Enum class is Python-level.
-_LAMINAR, _TRANSITIONAL, _TURBULENT = FlowRegime
+# The members in index order: `classify_flow` gives indices into this.
+REGIMES = tuple(FlowRegime)
 
 
 LAMINAR_BELOW = 2300.0
@@ -59,52 +60,56 @@ def size_at(price: float, bid: float, ask: float, m: float, h: float) -> float:
     return m * (kernel_weight(price - bid, h) + kernel_weight(price - ask, h))
 
 
-def viscosity(outcome: "InteractionOutcome") -> float:
-    """Viscosity analog: notional imbalance over (volume * price change).
+def viscosity(volume, v_t, obstacle_notional, order_notional) -> np.ndarray:
+    """Viscosity analog: notional imbalance over (volume * price change),
+    elementwise over the ticks.
 
-    Infinite whenever V * v_T = 0 (no trade, or a trade that left the
-    mid in place). Zero exactly at a perfect collision, where the two
-    notionals match. Reported as a magnitude so the value lives on the
-    extended nonnegative axis regardless of trade direction.
+    Infinite wherever V * v_T = 0 (no trade, or a trade that left the
+    mid in place); the mask is explicit, since numpy would give nan for
+    0/0. Zero exactly at a perfect collision, where the two notionals
+    match. Reported as a magnitude so the value lives on the extended
+    nonnegative axis regardless of trade direction.
     """
-    denom = outcome.traded_volume * outcome.price_change
-    if denom == 0.0:
-        return math.inf
-    return abs((outcome.obstacle_notional - outcome.order_notional) / denom)
+    denom = np.multiply(volume, v_t)
+    mu = np.full(denom.shape, math.inf)
+    np.divide(np.subtract(obstacle_notional, order_notional), denom,
+              out=mu, where=denom != 0.0)
+    return np.abs(mu, out=mu)
 
 
-def collision_ratio(outcome: "InteractionOutcome") -> float:
-    """Realized collision ratio: order notional over obstacle notional.
+def collision_ratio(order_notional, obstacle_notional, collision) -> np.ndarray:
+    """Realized collision ratio: order notional over obstacle notional,
+    elementwise over the ticks.
 
-    Clamped to [0, 1]; 0 on passive ticks. The clamp keeps the odds
-    transform defined when a residual-fattened order overshoots the
-    resting level. The obstacle notional is positive: the book's price
-    floor keeps every level at a price >= 1.
+    0 where `collision` is false (passive ticks), else clamped at 1. The
+    clamp keeps the odds transform defined when a residual-fattened order
+    overshoots the resting level. The obstacle notional is positive: the
+    book's price floor keeps every level at a price >= 1.
     """
-    if not outcome.collision:
-        return 0.0
-    return min(outcome.order_notional / outcome.obstacle_notional, 1.0)
+    ratio = np.zeros(np.shape(order_notional))
+    np.divide(order_notional, obstacle_notional, out=ratio, where=collision)
+    return np.minimum(ratio, 1.0, out=ratio)
 
 
-def reynolds_tick(outcome: "InteractionOutcome") -> float:
-    """Per-tick Reynolds number from realized notionals.
+def reynolds_tick(r, v_t, l) -> np.ndarray:
+    """Per-tick Reynolds number from the realized collision ratio r,
+    elementwise: r * v_T^2 * l / (1 - r).
 
-    r * v_T^2 * l / (1 - r) with r the realized collision ratio.
-    Returns 0 when v_T = 0 or r = 0, and +inf when r = 1 with v_T != 0.
-    Runs record the closed form instead; this is the per-notional
-    reference the closed form is checked against.
+    0 where v_T = 0 or r = 0, +inf where r = 1 with v_T != 0. Runs record
+    the closed form instead; this is the per-notional reference the
+    closed form is checked against.
     """
-    r = collision_ratio(outcome)
-    v_t = outcome.price_change
-    if v_t == 0.0 or r == 0.0:
-        return 0.0
-    if r == 1.0:
-        return math.inf
-    return (r * (v_t * v_t) * outcome.spread_before) / (1.0 - r)
+    r, v_t, l = np.broadcast_arrays(r, v_t, l)
+    moving = (v_t != 0.0) & (r != 0.0)
+    n_r = np.zeros(r.shape)
+    np.divide(r * (v_t * v_t) * l, 1.0 - r, out=n_r, where=moving & (r != 1.0))
+    n_r[moving & (r == 1.0)] = math.inf
+    return n_r
 
 
-def reynolds_closed_form(v_t: float, l: float, p: float) -> float:
-    """Reynolds number from the collision odds: v_T^2 * l * p/(1-p).
+def reynolds_closed_form(v_t, l, p: float):
+    """Reynolds number from the collision odds: v_T^2 * l * p/(1-p),
+    elementwise in v_T and l.
 
     Requires 0 <= p < 1; callers own the p = 1 limit explicitly.
     """
@@ -114,20 +119,19 @@ def reynolds_closed_form(v_t: float, l: float, p: float) -> float:
     return (v_t * v_t) * (p / (1.0 - p)) * l
 
 
-def classify_flow(n_r: float) -> FlowRegime:
-    """Laminar below 2300, turbulent above 2900, transitional between
-    (both boundary values included)."""
-    if n_r < LAMINAR_BELOW:
-        return _LAMINAR
-    if n_r > TURBULENT_ABOVE:
-        return _TURBULENT
-    return _TRANSITIONAL
+def classify_flow(n_r) -> np.ndarray:
+    """Regime indices into `REGIMES`: laminar (0) below 2300, turbulent
+    (2) above 2900, transitional (1) between, both boundary values
+    included."""
+    n_r = np.asarray(n_r)
+    return 1 - (n_r < LAMINAR_BELOW) + (n_r > TURBULENT_ABOVE)
 
 
 @dataclass(slots=True)
 class TickRecord:
     """Physics readout of one simulation step: one `series.csv` row
-    before smoothing.
+    before smoothing. A run stores these fields as columns;
+    `SeriesBundle.ticks` builds the records from them.
 
     `reynolds` is the closed-form value at the configured collision
     probability with the realized (v_T, l); it is the series that gets

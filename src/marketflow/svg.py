@@ -11,8 +11,6 @@ The CSV files stay canonical; these figures are a quick visual check.
 
 from __future__ import annotations
 
-from operator import attrgetter
-
 import numpy as np
 
 from .engine import SeriesBundle
@@ -128,13 +126,13 @@ def series_figure(bundle: SeriesBundle) -> str:
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
             f'height="{height}" viewBox="0 0 {width} {height}">'
             f'<rect width="{width}" height="{height}" fill="#fafafa"/>')
-    if not bundle.ticks:
+    if not len(bundle.columns["t"]):
         return (head +
                 f'<text x="{width / 2}" y="{height / 2}" font-size="16" '
                 f'font-family="sans-serif" text-anchor="middle" fill="#666">'
                 f'no data</text></svg>')
     ts, bids, asks, mids, rets = (
-        np.fromiter(map(attrgetter(name), bundle.ticks), float, len(bundle.ticks))
+        np.asarray(bundle.columns[name], dtype=float)
         for name in ("t", "bid", "ask", "mid", "ret"))
     t_range = _axis_range(ts)  # the x axis of every series panel
     # each quote is drawn on its own range; the labels give the joint one

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .config import SimConfig
 from .engine import run
-from .physics import DegenerateBookError, reynolds_closed_form
+from .physics import REGIMES, DegenerateBookError, reynolds_closed_form
 
 
 def default_speed_grid() -> list[float]:
@@ -76,14 +77,15 @@ class RunSummary:
 
 def _summarize(config: SimConfig) -> RunSummary:
     bundle = run(config)
+    columns = bundle.columns
+    counts = np.bincount(columns["regime"], minlength=len(REGIMES)).tolist()
     return RunSummary(
         config=config,
         seed=config.seed,
         final_mu=bundle.smoothed_mu[-1],
         final_reynolds=bundle.smoothed_reynolds[-1],
-        max_reynolds=max(t.reynolds for t in bundle.ticks),
-        # _value_ is a plain attribute; .value goes through a descriptor
-        regime_counts=Counter(tick.regime._value_ for tick in bundle.ticks),
+        max_reynolds=float(columns["reynolds"].max()),
+        regime_counts={regime.value: n for regime, n in zip(REGIMES, counts) if n},
     )
 
 

@@ -18,7 +18,7 @@ from statistics import pvariance
 import numpy as np
 import pytest
 
-from marketflow.book import InteractionOutcome, Side, init_book, reconcile
+from marketflow.book import Side, init_book, reconcile
 from marketflow.cli import main
 from marketflow.config import SimConfig
 from marketflow.engine import run
@@ -93,15 +93,13 @@ def test_criterion_01_per_tick_reynolds_matches_the_closed_form():
     spreads = rng.integers(1, 21, n)
     t0 = time.perf_counter()
     worst = 0.0
+    # n collisions, one per column entry
+    p_hats = collision_ratio(obstacles * ratios, obstacles, np.full(n, True))
+    per_tick = reynolds_tick(p_hats, speeds, spreads)
     for i in range(n):
-        out = InteractionOutcome(
-            traded_volume=1.0, price_change=float(speeds[i]),
-            spread_before=int(spreads[i]),
-            obstacle_notional=float(obstacles[i]),
-            order_notional=float(obstacles[i] * ratios[i]), collision=True)
-        p_hat = collision_ratio(out)
+        p_hat = float(p_hats[i])
         assert p_hat < 1.0
-        worst = max(worst, _rel(reynolds_tick(out),
+        worst = max(worst, _rel(float(per_tick[i]),
                                 reynolds_closed_form(float(speeds[i]),
                                                      float(spreads[i]), p_hat)))
     elapsed = time.perf_counter() - t0

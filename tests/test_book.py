@@ -5,6 +5,7 @@ import pytest
 from marketflow.agents import AgentSampler
 from marketflow.book import (
     FluidAgent,
+    OrderBook,
     Side,
     apply_order,
     init_book,
@@ -262,6 +263,13 @@ class TestLedger:
         book = _book()
         s, p = book.sell_sizes[0], book.ask
         book.journal += [("consume", Side.SELL, p, s), ("regen", Side.SELL, p, s)]
+        assert reconcile(book) is False
+
+    @pytest.mark.parametrize("bid,ask", [(3682, 3682), (3690, 3682)])
+    def test_crossed_starting_book_fails(self, bid, ask):
+        # SimConfig rejects such a book; one built by hand journals its
+        # init entries all the same, and the replay must refuse them
+        book = OrderBook(bid, ask, 2000.0, 10.0)
         assert reconcile(book) is False
 
     def test_unknown_tag_fails(self):

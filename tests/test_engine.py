@@ -2,16 +2,17 @@
 
 import math
 import random
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, astuple, fields, replace
 
 import numpy as np
 import pytest
 
 from marketflow import engine
-from marketflow.book import reconcile
+from marketflow.agents import AgentSampler
+from marketflow.book import apply_order, init_book, reconcile
 from marketflow.config import SimConfig
 from marketflow.engine import run, smooth_series, smooth_viscosity
-from marketflow.physics import DegenerateBookError, FlowRegime
+from marketflow.physics import DegenerateBookError, FlowRegime, TickRecord
 
 
 class TestSmoothViscosity:
@@ -243,3 +244,92 @@ class TestRun:
             else:
                 mid_before = tick.mid - tick.v_t
                 assert tick.ret == tick.v_t / mid_before
+
+
+def _scalar_ticks(config):
+    """The run's records from a plain-Python tick loop, the reference for
+    the column readout: each tick's fields computed from the live book
+    and that tick's outcome alone, with the v_T, l and collision flag
+    `apply_order` reports."""
+    book = init_book(config)
+    sampler = AgentSampler(config.collision_probability, config.seed)
+    p = config.collision_probability
+    ticks = []
+    for t in range(config.steps):
+        out = apply_order(book, sampler.sample(book))
+        volume, v_t, spread = out.traded_volume, out.price_change, out.spread_before
+        mid = (book.bid + book.ask) / 2.0
+        denom = volume * v_t
+        mu = (math.inf if denom == 0.0 else
+              abs((out.obstacle_notional - out.order_notional) / denom))
+        p_hat = (min(out.order_notional / out.obstacle_notional, 1.0)
+                 if out.collision else 0.0)
+        if p >= 1.0:
+            nr = 0.0 if v_t == 0.0 else math.inf
+        else:
+            nr = (v_t * v_t) * (p / (1.0 - p)) * float(spread)
+        regime = (FlowRegime.LAMINAR if nr < 2300.0 else
+                  FlowRegime.TURBULENT if nr > 2900.0 else
+                  FlowRegime.TRANSITIONAL)
+        ticks.append(TickRecord(t, book.bid, book.ask, mid, v_t / (mid - v_t), v_t,
+                                spread, volume, mu, p_hat, nr, regime))
+    return ticks
+
+
+class TestColumnarReadout:
+    @pytest.mark.parametrize("p", [0.0, 0.15, 0.5, 0.99, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_scalar_formulas_bit_for_bit(self, seed, p):
+        config = SimConfig(collision_probability=p, seed=seed)
+        want = _scalar_ticks(config)
+        got = run(config).ticks
+        assert len(got) == len(want) == config.steps
+        for a, b in zip(got, want):
+            # == on every field, and repr for the type and the sign of zero
+            assert astuple(a) == astuple(b)
+            assert repr(a) == repr(b)
+        # the branches the readout masks: infinite viscosity on passive
+        # and partial ticks, the p_hat clamp and, at P = 1, infinite
+        # Reynolds numbers
+        assert any(r.mu == math.inf for r in got)
+        if p >= 0.5:
+            assert any(r.p_hat == 1.0 for r in got)
+        if p == 1.0:
+            assert any(r.reynolds == math.inf for r in got)
+
+    def test_columns_hold_one_array_per_field(self):
+        bundle = run(SimConfig(steps=30, seed=5))
+        assert list(bundle.columns) == [f.name for f in fields(TickRecord)]
+        assert all(len(column) == 30 for column in bundle.columns.values())
+        assert bundle.ticks[-1].bid == bundle.final_book.bid
+
+
+class TestStepIsThePatchPoint:
+    def test_run_calls_step_once_per_tick_and_nothing_else_applies(self, monkeypatch):
+        # a tracer wraps engine.step; every tick must pass through it, and
+        # the record must be made of what it returned
+        ticks, outcomes, inside = [], [], []
+        real_step, real_apply = engine.step, engine.apply_order
+
+        def counting_step(book, sampler, t):
+            inside.append(t)
+            try:
+                out = real_step(book, sampler, t)
+            finally:
+                inside.pop()
+            ticks.append(t)
+            outcomes.append(out)
+            return out
+
+        def guarded_apply(book, agent):
+            assert inside, "apply_order called outside engine.step"
+            return real_apply(book, agent)
+
+        monkeypatch.setattr(engine, "step", counting_step)
+        monkeypatch.setattr(engine, "apply_order", guarded_apply)
+        bundle = run(SimConfig(steps=75, seed=3))
+        assert ticks == list(range(75))
+        columns = bundle.columns
+        assert columns["bid"].tolist() == [out.bid for out in outcomes]
+        assert columns["ask"].tolist() == [out.ask for out in outcomes]
+        assert columns["volume"].tolist() == [out.traded_volume for out in outcomes]

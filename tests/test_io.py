@@ -1,7 +1,9 @@
 """Unit tests for config files, CSV output, and SVG rendering."""
 
 import xml.dom.minidom
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from marketflow.book import init_book
@@ -18,6 +20,7 @@ from marketflow.io import (
     write_grid_csv,
     write_series_csv,
 )
+from marketflow.physics import TickRecord
 from marketflow.svg import series_figure, surface_figure, write_svg
 from marketflow.sweep import (
     batch_runs,
@@ -190,7 +193,8 @@ class TestSvg:
 
     def test_empty_series_renders_a_placeholder(self):
         config = SimConfig()
-        empty = SeriesBundle(ticks=[], smoothed_mu=[], smoothed_reynolds=[],
+        empty = SeriesBundle(columns={f.name: np.empty(0) for f in fields(TickRecord)},
+                             smoothed_mu=[], smoothed_reynolds=[],
                              config=config,
                              final_book=init_book(config))
         markup = series_figure(empty)

@@ -1,14 +1,15 @@
 """Unit tests for the pure formula layer."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from marketflow.book import (FluidAgent, InteractionOutcome, Side,
-                             apply_order, init_book)
+from marketflow.book import FluidAgent, Side, apply_order, init_book
 from marketflow.config import SimConfig
 from marketflow.physics import (
+    REGIMES,
     DegenerateBookError,
     FlowRegime,
     classify_flow,
@@ -23,9 +24,26 @@ from marketflow.physics import (
 
 def _outcome(obstacle=1000.0, order=500.0, volume=5.0, v_t=1.0,
              spread=1, collision=True):
-    return InteractionOutcome(
-        traded_volume=volume, price_change=v_t, spread_before=spread,
-        obstacle_notional=obstacle, order_notional=order, collision=collision)
+    """One tick's readout inputs, each a one-element column."""
+    return SimpleNamespace(
+        volume=np.array([volume]), v_t=np.array([v_t]), spread=np.array([spread]),
+        obstacle=np.array([obstacle]), order=np.array([order]),
+        collision=np.array([collision]))
+
+
+# The readout formulas on one tick's columns, each as a Python float.
+
+def _viscosity(out):
+    return float(viscosity(out.volume, out.v_t, out.obstacle, out.order)[0])
+
+
+def _collision_ratio(out):
+    return float(collision_ratio(out.order, out.obstacle, out.collision)[0])
+
+
+def _reynolds_tick(out):
+    r = collision_ratio(out.order, out.obstacle, out.collision)
+    return float(reynolds_tick(r, out.v_t, out.spread)[0])
 
 
 def _rel(a, b):
@@ -95,37 +113,48 @@ class TestSizeAt:
 
 class TestViscosity:
     def test_arithmetic(self):
-        assert viscosity(_outcome(obstacle=1000.0, order=500.0,
+        assert _viscosity(_outcome(obstacle=1000.0, order=500.0,
                                   volume=5.0, v_t=1.0)) == 100.0
 
     def test_no_trade_is_infinite(self):
-        assert viscosity(_outcome(volume=0.0, v_t=0.0, collision=False)) == math.inf
+        assert _viscosity(_outcome(volume=0.0, v_t=0.0, collision=False)) == math.inf
 
     def test_zero_price_change_is_infinite(self):
-        assert viscosity(_outcome(volume=5.0, v_t=0.0)) == math.inf
+        assert _viscosity(_outcome(volume=5.0, v_t=0.0)) == math.inf
+
+    def test_equal_notionals_without_a_move_are_infinite(self):
+        # 0/0: numpy alone would give nan here
+        assert _viscosity(_outcome(obstacle=800.0, order=800.0,
+                                   volume=2.0, v_t=0.0)) == math.inf
+
+    def test_columns_mix_masked_and_divided_ticks(self):
+        mu = viscosity(np.array([0.0, 5.0, 5.0, 2.0]), np.array([0.0, 0.0, 1.0, -0.5]),
+                       np.array([1000.0, 1000.0, 1000.0, 800.0]),
+                       np.array([500.0, 500.0, 500.0, 800.0]))
+        assert mu.tolist() == [math.inf, math.inf, 100.0, 0.0]
 
     def test_perfect_collision_is_zero(self):
-        assert viscosity(_outcome(obstacle=800.0, order=800.0,
+        assert _viscosity(_outcome(obstacle=800.0, order=800.0,
                                   volume=2.0, v_t=0.5)) == 0.0
 
     def test_reported_as_magnitude(self):
-        fat = viscosity(_outcome(obstacle=500.0, order=1000.0,
+        fat = _viscosity(_outcome(obstacle=500.0, order=1000.0,
                                  volume=5.0, v_t=1.0))
         assert fat == 100.0
 
 
 class TestCollisionRatio:
     def test_arithmetic(self):
-        assert collision_ratio(_outcome(obstacle=1000.0, order=500.0)) == 0.5
+        assert _collision_ratio(_outcome(obstacle=1000.0, order=500.0)) == 0.5
 
     def test_equal_notionals(self):
-        assert collision_ratio(_outcome(obstacle=640.0, order=640.0)) == 1.0
+        assert _collision_ratio(_outcome(obstacle=640.0, order=640.0)) == 1.0
 
     def test_passive_is_zero(self):
-        assert collision_ratio(_outcome(collision=False)) == 0.0
+        assert _collision_ratio(_outcome(collision=False)) == 0.0
 
     def test_clamped_at_one(self):
-        assert collision_ratio(_outcome(obstacle=100.0, order=250.0)) == 1.0
+        assert _collision_ratio(_outcome(obstacle=100.0, order=250.0)) == 1.0
 
     def test_price_floor_keeps_obstacle_notionals_positive(self):
         # every level sits at price >= 1, so an obstacle notional is a
@@ -134,7 +163,8 @@ class TestCollisionRatio:
         book = init_book(SimConfig(initial_bid=11))
         out = apply_order(book, FluidAgent(Side.SELL, 11, book.buy_sizes[0]))
         assert book.bid - (len(book.buy_sizes) - 1) == 1
-        assert collision_ratio(out) > 0.0
+        assert collision_ratio(out.order_notional, out.obstacle_notional,
+                               out.collision) > 0.0
         state = (book.bid, book.ask, list(book.buy_sizes),
                  list(book.sell_sizes), list(book.journal))
         with pytest.raises(DegenerateBookError,
@@ -146,13 +176,13 @@ class TestCollisionRatio:
 
 class TestReynoldsTick:
     def test_zero_velocity(self):
-        assert reynolds_tick(_outcome(v_t=0.0)) == 0.0
+        assert _reynolds_tick(_outcome(v_t=0.0)) == 0.0
 
     def test_passive_tick(self):
-        assert reynolds_tick(_outcome(collision=False, v_t=0.0)) == 0.0
+        assert _reynolds_tick(_outcome(collision=False, v_t=0.0)) == 0.0
 
     def test_saturated_ratio_is_infinite(self):
-        assert reynolds_tick(_outcome(obstacle=500.0, order=500.0,
+        assert _reynolds_tick(_outcome(obstacle=500.0, order=500.0,
                                       v_t=0.5)) == math.inf
 
     def test_matches_closed_form_on_random_outcomes(self):
@@ -163,10 +193,10 @@ class TestReynoldsTick:
             out = _outcome(obstacle=obstacle, order=obstacle * ratio,
                            v_t=rng.uniform(-5, 5) or 0.5,
                            spread=int(rng.integers(1, 21)))
-            p_hat = collision_ratio(out)
-            want = reynolds_closed_form(out.price_change,
-                                        float(out.spread_before), p_hat)
-            assert _rel(reynolds_tick(out), want) <= 1e-12
+            p_hat = _collision_ratio(out)
+            want = reynolds_closed_form(float(out.v_t[0]),
+                                        float(out.spread[0]), p_hat)
+            assert _rel(_reynolds_tick(out), want) <= 1e-12
 
 
 class TestReynoldsClosedForm:
@@ -229,16 +259,16 @@ class TestClassifyFlow:
         (math.inf, FlowRegime.TURBULENT),
     ])
     def test_thresholds(self, n_r, regime):
-        assert classify_flow(n_r) is regime
+        assert REGIMES[classify_flow(n_r)] is regime
 
 
 class TestLimitRelationship:
     def test_viscosity_and_reynolds_are_inverse_in_the_limits(self):
         # saturated collision with equal notionals: mu -> 0, N_R -> inf
         sat = _outcome(obstacle=600.0, order=600.0, volume=3.0, v_t=0.5)
-        assert viscosity(sat) == 0.0
-        assert reynolds_tick(sat) == math.inf
+        assert _viscosity(sat) == 0.0
+        assert _reynolds_tick(sat) == math.inf
         # no trade: mu -> inf, N_R -> 0
         idle = _outcome(volume=0.0, v_t=0.0, collision=False)
-        assert viscosity(idle) == math.inf
-        assert reynolds_tick(idle) == 0.0
+        assert _viscosity(idle) == math.inf
+        assert _reynolds_tick(idle) == 0.0

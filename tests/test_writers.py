@@ -17,6 +17,7 @@ scalar formula, double for double.
 
 import hashlib
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from marketflow.cli import main
 from marketflow.config import SimConfig
 from marketflow.engine import SeriesBundle, run
 from marketflow.io import write_series_csv
-from marketflow.physics import FlowRegime, TickRecord
+from marketflow.physics import REGIMES, FlowRegime, TickRecord
 
 # (seed, P, window, steps) -> (series.csv sha256, series.svg sha256)
 WRITER_SHA256 = {
@@ -77,9 +78,11 @@ def test_pinned_cases_reach_their_branches():
 
 def test_infinities_are_spelled_inf_and_nan_stays_nan(tmp_path):
     config = SimConfig(steps=1)
-    ticks = [TickRecord(0, 10, 12, 11.0, -math.inf, math.inf, 2, math.nan,
-                        math.inf, 0.0, -math.inf, FlowRegime.LAMINAR)]
-    bundle = SeriesBundle(ticks=ticks, smoothed_mu=[-math.inf],
+    row = (0, 10, 12, 11.0, -math.inf, math.inf, 2, math.nan,
+           math.inf, 0.0, -math.inf, REGIMES.index(FlowRegime.LAMINAR))
+    columns = {f.name: np.array([value])
+               for f, value in zip(fields(TickRecord), row)}
+    bundle = SeriesBundle(columns=columns, smoothed_mu=[-math.inf],
                           smoothed_reynolds=[math.nan], config=config,
                           final_book=init_book(config))
     path = tmp_path / "series.csv"
