@@ -6,6 +6,8 @@ rests in the book (passive) or trades against the best opposite level
 (active). Fills are capped at that single level: a full fill removes
 it, moves that quote one tick outward, appends one far-end level, and
 any residual agent size rests on the traded side's new best level.
+`apply_order` reports only what the agent did: the traded volume, the
+two pre-trade notionals and the quotes after the trade.
 
 Level prices are derived from the quotes, so ten contiguous ticks per
 side, an uncrossed book and positive sizes hold by construction under
@@ -47,25 +49,18 @@ class FluidAgent:
 
 @dataclass(slots=True)
 class InteractionOutcome:
-    """What one agent did to the book.
-
-    Notionals are captured from the pre-trade state: the obstacle is the
-    best opposite level, the order is the agent itself. `bid` and `ask`
-    are the quotes after the trade; a run keeps those, the volume and the
-    notionals, and derives the rest of its readout from them.
+    """What one agent did to the book: the traded volume (0.0 when it
+    rested), the pre-trade notionals of the obstacle (the best opposite
+    level) and of the order (the agent itself), and the quotes after the
+    trade. The book derives nothing from these; `engine._readout` alone
+    turns them into v_T, l and the collision flag.
     """
 
     traded_volume: float
-    price_change: float
-    spread_before: int
     obstacle_notional: float
     order_notional: float
-    collision: bool
     bid: int
     ask: int
-
-
-_positive = (0.0).__lt__  # a C predicate for check()'s common case
 
 
 class SizeMemo(dict):
@@ -156,18 +151,14 @@ class OrderBook:
     # --- invariants -----------------------------------------------------
 
     def check(self) -> None:
-        """Ten positive sizes per side and an uncrossed book.
+        """Ten positive sizes per side and an uncrossed book; the first
+        violation raises `DegenerateBookError` naming its side, level or
+        quotes. `size > 0` is false for zero, negative and NaN sizes
+        alike.
 
         Runs do not call this: `reconcile` witnesses every step. It is
-        for the final book and for a book altered by hand. The common
-        case is decided in C; only a failure walks the levels to name
-        the offending side and price. `0.0 < size` is false for
-        zero, negative and NaN sizes alike.
+        for the final book and for a book altered by hand.
         """
-        buys, sells = self.buy_sizes, self.sell_sizes
-        if (len(buys) == 10 and len(sells) == 10 and self.bid < self.ask
-                and all(map(_positive, buys)) and all(map(_positive, sells))):
-            return
         for side in (BUY, SELL):
             sizes, best, step = self._side(side)
             if len(sizes) != 10:
@@ -205,7 +196,6 @@ def apply_order(book: OrderBook, agent: FluidAgent) -> InteractionOutcome:
     else:
         opp, opposite_best, depth = BUY, bid, price - ask
         obstacle_size = book.buy_sizes[0]
-    spread_before = ask - bid
     obstacle_notional = obstacle_size * opposite_best
     order_notional = size * price
 
@@ -215,8 +205,7 @@ def apply_order(book: OrderBook, agent: FluidAgent) -> InteractionOutcome:
                 f"{own.value} price {price} is neither the opposite best "
                 f"nor a resting {own.value} level")
         book.add_size(own, depth, size, "passive")
-        return InteractionOutcome(0.0, 0.0, spread_before, obstacle_notional,
-                                  order_notional, False, bid, ask)
+        return InteractionOutcome(0.0, obstacle_notional, order_notional, bid, ask)
 
     if size >= obstacle_size:
         volume = book.consume_best(opp)
@@ -227,11 +216,8 @@ def apply_order(book: OrderBook, agent: FluidAgent) -> InteractionOutcome:
         volume = size
         book.take_best(opp, volume)
 
-    new_bid, new_ask = book.bid, book.ask
-    price_change = (new_bid + new_ask) / 2.0 - (bid + ask) / 2.0
-    return InteractionOutcome(volume, price_change, spread_before,
-                              obstacle_notional, order_notional, True,
-                              new_bid, new_ask)
+    return InteractionOutcome(volume, obstacle_notional, order_notional,
+                              book.bid, book.ask)
 
 
 def reconcile(book: OrderBook) -> bool:

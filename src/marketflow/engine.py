@@ -68,10 +68,11 @@ def _readout(outcomes: list[InteractionOutcome], bid0: int, ask0: int,
     quotes and the configured collision probability, one array pass per
     quantity.
 
-    v_T is the change of the mid (bid + ask) / 2.0 from the previous
-    tick, and l the previous tick's spread: the values `apply_order`
-    reports, since only a full fill moves a quote. A tick traded
-    exactly when its volume is positive.
+    The one definition of v_T, l and a collision: v_T is the change of
+    the mid (bid + ask) / 2.0 from the previous tick, l is the previous
+    tick's spread, and a tick collided exactly when its volume is
+    positive. The book reports only the post-trade quotes, the volume
+    and the two notionals.
     """
     bid = _column(outcomes, "bid", np.int64)
     ask = _column(outcomes, "ask", np.int64)

@@ -7,7 +7,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .config import SimConfig
+from .config import CONFIG_FIELDS, SimConfig
 from .engine import run
 from .physics import REGIMES, DegenerateBookError, reynolds_closed_form
 
@@ -67,12 +67,15 @@ class RunSummary:
     no count."""
 
     config: SimConfig
-    seed: int
     final_mu: float | None = None
     final_reynolds: float | None = None
     max_reynolds: float | None = None
     regime_counts: dict[str, int] = field(default_factory=dict)
     error: str | None = None
+
+    @property
+    def seed(self) -> int:
+        return self.config.seed
 
 
 def _summarize(config: SimConfig) -> RunSummary:
@@ -81,7 +84,6 @@ def _summarize(config: SimConfig) -> RunSummary:
     counts = np.bincount(columns["regime"], minlength=len(REGIMES)).tolist()
     return RunSummary(
         config=config,
-        seed=config.seed,
         final_mu=bundle.smoothed_mu[-1],
         final_reynolds=bundle.smoothed_reynolds[-1],
         max_reynolds=float(columns["reynolds"].max()),
@@ -94,13 +96,21 @@ def batch_runs(base: SimConfig, param_grid: Iterable[Mapping],
     """One summary per (override, seed) cell, in grid-major order.
 
     Every cell's config is built before the first run, so an invalid
-    cell raises `ValueError` before tick 0. A run whose book degenerates
-    is reported in its summary's error field, and the rest of the batch
-    still runs; any other exception is a fault and propagates.
+    cell raises `ValueError` before tick 0. So does a cell key that is
+    not a config field, or is `seed`, which `seeds` sets. A run whose
+    book degenerates is reported in its summary's error field, and the
+    rest of the batch still runs; any other exception is a fault and
+    propagates.
     """
     cells = list(param_grid)
     if not cells:
         raise ValueError("param_grid must contain at least one cell")
+    for overrides in cells:
+        for key in overrides:
+            if key not in CONFIG_FIELDS:
+                raise ValueError(f"unknown config key in a cell: {key}")
+            if key == "seed":
+                raise ValueError("a cell cannot set seed; the seeds argument does")
     seeds = list(seeds)  # read once per cell, so a generator must not run dry
     configs = [replace(base, seed=seed, **overrides)
                for overrides in cells for seed in seeds]
@@ -109,5 +119,5 @@ def batch_runs(base: SimConfig, param_grid: Iterable[Mapping],
         try:
             out.append(_summarize(config))
         except DegenerateBookError as exc:
-            out.append(RunSummary(config, config.seed, error=str(exc)))
+            out.append(RunSummary(config, error=str(exc)))
     return out

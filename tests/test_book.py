@@ -59,9 +59,8 @@ class TestPassiveOrders:
         before = book.buy_sizes[book.bid - 3678]
         out = apply_order(book, FluidAgent(Side.BUY, 3678, 0.25))
         assert book.buy_sizes[book.bid - 3678] == before + 0.25
-        assert out.collision is False
         assert out.traded_volume == 0.0
-        assert out.price_change == 0.0
+        assert (out.bid, out.ask) == (3681, 3682)
 
     def test_quotes_unchanged(self):
         book = _book()
@@ -82,18 +81,15 @@ class TestActiveOrders:
         book = _book()
         ask_size = book.sell_sizes[3682 - book.ask]
         out = apply_order(book, FluidAgent(Side.BUY, 3682, ask_size))
-        assert out.collision is True
         assert out.traded_volume == ask_size
-        assert out.price_change == 0.5
-        assert (book.bid, book.ask) == (3681, 3683)
+        assert (out.bid, out.ask) == (book.bid, book.ask) == (3681, 3683)
         assert book.ask - book.bid == 2
 
     def test_sell_full_fill_moves_bid_down(self):
         book = _book()
         bid_size = book.buy_sizes[book.bid - 3681]
         out = apply_order(book, FluidAgent(Side.SELL, 3681, bid_size + 1e-9))
-        assert out.price_change == -0.5
-        assert book.bid == 3680
+        assert (out.bid, out.ask) == (book.bid, book.ask) == (3680, 3682)
 
     def test_full_fill_regenerates_the_far_end(self):
         book = _book()
@@ -120,10 +116,8 @@ class TestActiveOrders:
         book = _book()
         bid_size = book.buy_sizes[book.bid - 3681]
         out = apply_order(book, FluidAgent(Side.SELL, 3681, bid_size / 2))
-        assert out.collision is True
         assert out.traded_volume == bid_size / 2
-        assert out.price_change == 0.0
-        assert (book.bid, book.ask) == (3681, 3682)
+        assert (out.bid, out.ask) == (book.bid, book.ask) == (3681, 3682)
         assert book.buy_sizes[book.bid - 3681] == bid_size - bid_size / 2
 
     def test_outcome_captures_pretrade_notionals(self):
@@ -132,7 +126,7 @@ class TestActiveOrders:
         out = apply_order(book, FluidAgent(Side.BUY, 3682, 0.125))
         assert out.obstacle_notional == ask_size * 3682
         assert out.order_notional == 0.125 * 3682
-        assert out.spread_before == 1
+        assert out.traded_volume == 0.125
 
     def test_deterministic(self):
         results = []
@@ -160,7 +154,6 @@ class TestCheck:
         with pytest.raises(DegenerateBookError, match="buy level 3678"):
             book.check()
 
-
     @pytest.mark.parametrize("size", [0.0, -1.0, float("nan")])
     @pytest.mark.parametrize("depth", [0, 5, 9])
     @pytest.mark.parametrize("side", [Side.BUY, Side.SELL])
@@ -170,6 +163,14 @@ class TestCheck:
         (book.buy_sizes if side is Side.BUY else book.sell_sizes)[depth] = size
         with pytest.raises(DegenerateBookError,
                            match=f"^{side.value} level {price} "):
+            book.check()
+
+    @pytest.mark.parametrize("side", [Side.BUY, Side.SELL])
+    def test_level_count_is_checked(self, side):
+        book = _book()
+        (book.buy_sizes if side is Side.BUY else book.sell_sizes).pop()
+        with pytest.raises(DegenerateBookError,
+                           match=f"^{side.value} side holds 9 levels, want 10$"):
             book.check()
 
     def test_crossed_book_is_a_typed_error(self):

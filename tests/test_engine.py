@@ -9,7 +9,7 @@ import pytest
 
 from marketflow import engine
 from marketflow.agents import AgentSampler
-from marketflow.book import apply_order, init_book, reconcile
+from marketflow.book import Side, apply_order, init_book, reconcile
 from marketflow.config import SimConfig
 from marketflow.engine import run, smooth_series, smooth_viscosity
 from marketflow.physics import DegenerateBookError, FlowRegime, TickRecord
@@ -248,22 +248,30 @@ class TestRun:
 
 def _scalar_ticks(config):
     """The run's records from a plain-Python tick loop, the reference for
-    the column readout: each tick's fields computed from the live book
-    and that tick's outcome alone, with the v_T, l and collision flag
-    `apply_order` reports."""
+    the column readout. It reads nothing the readout derives: v_T and l
+    come from the live quotes before and after each `apply_order`, and
+    the collision flag from the matching rule, an agent priced at the
+    pre-trade opposite best."""
     book = init_book(config)
     sampler = AgentSampler(config.collision_probability, config.seed)
     p = config.collision_probability
     ticks = []
     for t in range(config.steps):
-        out = apply_order(book, sampler.sample(book))
-        volume, v_t, spread = out.traded_volume, out.price_change, out.spread_before
+        bid, ask = book.bid, book.ask
+        agent = sampler.sample(book)
+        collided = agent.price == (ask if agent.side is Side.BUY else bid)
+        out = apply_order(book, agent)
+        # the readout's rule: a tick collided exactly when it traded volume
+        volume = out.traded_volume
+        assert (volume > 0.0) == collided
         mid = (book.bid + book.ask) / 2.0
+        v_t = mid - (bid + ask) / 2.0
+        spread = ask - bid
         denom = volume * v_t
         mu = (math.inf if denom == 0.0 else
               abs((out.obstacle_notional - out.order_notional) / denom))
         p_hat = (min(out.order_notional / out.obstacle_notional, 1.0)
-                 if out.collision else 0.0)
+                 if collided else 0.0)
         if p >= 1.0:
             nr = 0.0 if v_t == 0.0 else math.inf
         else:

@@ -1,8 +1,9 @@
 """Golden outputs: the sha256 of the files the CLI writes.
 
 Criterion 9 only compares reruns within one version; these pins hold the
-bytes of `series.csv` and `batch.csv` fixed across versions, so a refactor
-or speedup that changes any output fails here.
+bytes of `series.csv`, `batch.csv` and the two surface tables fixed
+across versions, so a refactor or speedup that changes any output fails
+here.
 """
 
 import hashlib
@@ -32,6 +33,13 @@ WIDE_SHA256 = {
 }
 
 
+# The closed-form Reynolds tables `surface` writes on its default grids.
+SURFACE_SHA256 = {
+    "surface_speed.csv": "4c25725e4e8bfd672f5c71fa07a5fc8b714d37cb8931124d34f713e500b270cf",
+    "surface_spread.csv": "c5ed29e70f29e8f1d4cf1f9ce402d16f1e1546dfcc9f420f540c2f57b7a87eae",
+}
+
+
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -57,3 +65,9 @@ def test_series_csv_bytes_wide_window(tmp_path, seed, p, window, steps):
 def test_batch_csv_bytes(tmp_path):
     assert main(["batch", "--n-seeds", "2", "--out", str(tmp_path)]) == 0
     assert _sha256(tmp_path / "batch.csv") == BATCH_SHA256
+
+
+def test_surface_csv_bytes(tmp_path):
+    assert main(["surface", "--out", str(tmp_path)]) == 0
+    for name, digest in SURFACE_SHA256.items():
+        assert _sha256(tmp_path / name) == digest, name

@@ -164,7 +164,7 @@ class TestCollisionRatio:
         out = apply_order(book, FluidAgent(Side.SELL, 11, book.buy_sizes[0]))
         assert book.bid - (len(book.buy_sizes) - 1) == 1
         assert collision_ratio(out.order_notional, out.obstacle_notional,
-                               out.collision) > 0.0
+                               True) > 0.0
         state = (book.bid, book.ask, list(book.buy_sizes),
                  list(book.sell_sizes), list(book.journal))
         with pytest.raises(DegenerateBookError,

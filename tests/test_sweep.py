@@ -156,10 +156,14 @@ class TestBatchRuns:
     def test_invalid_cell_is_rejected_before_any_run(self, monkeypatch):
         runs = []
         monkeypatch.setattr(sweep, "run", runs.append)
-        with pytest.raises(ValueError, match="initial_spread"):
-            batch_runs(SimConfig(steps=10),
-                       [{"initial_spread": 1}, {"initial_spread": 0}],
-                       seeds=[0])
+        # a bad value, a key that is no config field, and the seed, which
+        # the seeds argument sets; each error names the key
+        for bad, key in (({"initial_spread": 0}, "initial_spread"),
+                         ({"foo": 1}, "foo"),
+                         ({"seed": 1}, "seed")):
+            with pytest.raises(ValueError, match=key):
+                batch_runs(SimConfig(steps=10), [{"initial_spread": 1}, bad],
+                           seeds=[0])
         assert runs == []
 
     def test_rejects_empty_grid(self):
