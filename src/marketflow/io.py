@@ -3,7 +3,14 @@
 Every output file starts with a commented metadata block that echoes
 the full configuration, the seed, and the generator identity, so the
 file alone suffices to reproduce itself. Files are written to a
-temporary sibling and renamed into place.
+temporary sibling and renamed into place; a write that raises removes
+the sibling and leaves the old file as it was.
+
+The per-run writers format each distinct value of a column once
+(`formatted`) and build their text with joins. A `%` format's output
+depends only on the value's bits, and distinct values are told apart
+by their bits, so every output byte is what formatting each value on
+its own gives.
 """
 
 from __future__ import annotations
@@ -11,6 +18,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import fields
+
+import numpy as np
 
 from . import __version__
 from .agents import GENERATOR_NAME
@@ -90,39 +99,74 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write_chunks(path: str, chunks) -> None:
+    """Write each string of `chunks` to `path + ".tmp"`, then rename it
+    onto `path`. If writing, or making a chunk, raises, the temporary
+    file is removed and `path` is left as it was."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
 
 
-_SERIES_ROW = "%d,%d,%d" + ",%.6f" * 3 + ",%d" + ",%.6f" * 6 + ",%s\n"
+def _atomic_write(path: str, text: str) -> None:
+    _atomic_write_chunks(path, (text,))
+
+
+def formatted(values, fmt: str) -> np.ndarray:
+    """`fmt % v` for each entry of a 1-D array, as an object array; each
+    distinct value is formatted once. Floats are told apart by their
+    bits, so 0.0 and -0.0, and each NaN, keep their own text."""
+    values = np.ascontiguousarray(values)
+    key = values.view(np.int64) if values.dtype == np.float64 else values
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    texts = np.array([fmt % v for v in values[first].tolist()], dtype=object)
+    return texts[inverse.reshape(-1)]
+
+
+# The format of each series.csv column before the regime, separator
+# included, in column order
+_SERIES_FORMATS = ("%d,",) * 3 + ("%.6f,",) * 3 + ("%d,",) + ("%.6f,",) * 6
 _SERIES_FIELDS = ("t", "bid", "ask", "mid", "ret", "v_t", "spread", "volume",
                   "p_hat", "mu")
-# Rows formatted per pass: each pass turns its slice of every column into
-# Python objects, so a long run never holds them all at once.
+# Rows formatted and written per pass, so a long run's text is never
+# held whole
 _BLOCK = 2048
 
 
-def write_series_csv(bundle: SeriesBundle, path: str) -> None:
-    """One row per tick. Floats are written with six decimals, and every
-    infinity, of either sign, as the token `inf`."""
+def _series_text(bundle: SeriesBundle):
+    """series.csv's header, then its rows, one block at a time."""
+    yield "\n".join(metadata_header(bundle.config) + [SERIES_COLUMNS, ""])
     columns = bundle.columns
-    names = [regime.value for regime in REGIMES]
-    blocks = []
+    series = ([columns[name] for name in _SERIES_FIELDS]
+              + [np.asarray(bundle.smoothed_mu, dtype=float), columns["reynolds"],
+                 np.asarray(bundle.smoothed_reynolds, dtype=float)])
+    names = np.array([regime.value + "\n" for regime in REGIMES], dtype=object)
+    width = len(series) + 1
     for lo in range(0, len(columns["t"]), _BLOCK):
         cut = slice(lo, lo + _BLOCK)
-        blocks.append("".join([_SERIES_ROW % row for row in zip(
-            *[columns[name][cut].tolist() for name in _SERIES_FIELDS],
-            bundle.smoothed_mu[cut], columns["reynolds"][cut].tolist(),
-            bundle.smoothed_reynolds[cut],
-            [names[i] for i in columns["regime"][cut].tolist()])]))
-    rows = "".join(blocks)
-    header = "\n".join(metadata_header(bundle.config) + [SERIES_COLUMNS])
-    # %.6f keeps the sign of -inf; rewrite it in the rows, never in the
-    # echoed config
-    _atomic_write(path, header + "\n" + rows.replace("-inf", "inf"))
+        regimes = columns["regime"][cut]
+        cells = [None] * (width * len(regimes))
+        for k, (values, fmt) in enumerate(zip(series, _SERIES_FORMATS)):
+            cells[k::width] = formatted(values[cut], fmt).tolist()
+        cells[width - 1::width] = names[regimes].tolist()
+        # %.6f keeps the sign of -inf; no other cell can hold "-inf"
+        yield "".join(cells).replace("-inf", "inf")
+
+
+def write_series_csv(bundle: SeriesBundle, path: str) -> None:
+    """One row per tick, streamed to the file in blocks of `_BLOCK` rows:
+    each block is formatted and written before the next is made. Floats
+    are written with six decimals, and every infinity, of either sign,
+    as the token `inf`."""
+    _atomic_write_chunks(path, _series_text(bundle))
 
 
 def write_grid_csv(grid: SurfaceGrid, path: str) -> None:

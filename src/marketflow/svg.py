@@ -6,6 +6,11 @@ Series coordinates are computed with numpy, one array operation per
 step of the scalar formula and in Python's operation order; numpy's
 elementwise float64 arithmetic rounds like Python's, so every
 coordinate is the double the scalar formula gives.
+Each distinct coordinate is formatted once (`io.formatted`), and the
+tick axis once per panel column: a tick's x depends only on the tick
+range and the column, so every series panel in a column shares it.
+A `%.2f` text depends only on the double's bits, so the markup is the
+same as formatting every point on its own.
 The CSV files stay canonical; these figures are a quick visual check.
 """
 
@@ -14,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import SeriesBundle
-from .io import _atomic_write
+from .io import _atomic_write, formatted
 from .sweep import SurfaceGrid
 
 PANEL_W = 380
@@ -44,31 +49,40 @@ def _axis_range(values):
     return lo, hi
 
 
-def _points(xs, ys, x_range, y_range, x0, y0):
-    """The finite (x, y) pairs of two float arrays scaled into the panel
-    at (x0, y0), as an (n, 2) array; the ranges are `_axis_range` of xs
-    and ys."""
+def _scale_x(xs, x_range, x0):
+    """x0 + PAD_L + (x - lo_x) / (hi_x - lo_x) * inner_w for each x, grouped
+    as Python groups it; x_range is `_axis_range` of the series."""
     lo_x, hi_x = x_range
-    lo_y, hi_y = y_range
     inner_w = PANEL_W - PAD_L - PAD_R
+    return (x0 + PAD_L) + (xs - lo_x) / (hi_x - lo_x) * inner_w
+
+
+def _scale_y(ys, y_range, y0):
+    """y0 + PANEL_H - PAD_B - (y - lo_y) / (hi_y - lo_y) * inner_h for each
+    y, grouped as Python groups it."""
+    lo_y, hi_y = y_range
     inner_h = PANEL_H - PAD_T - PAD_B
-    keep = np.isfinite(xs) & np.isfinite(ys)
-    pts = np.empty((int(keep.sum()), 2))
-    # x0 + PAD_L + (x - lo_x) / (hi_x - lo_x) * inner_w, and the same
-    # for y, grouped as Python groups them
-    pts[:, 0] = (x0 + PAD_L) + (xs[keep] - lo_x) / (hi_x - lo_x) * inner_w
-    pts[:, 1] = (y0 + PANEL_H - PAD_B) - (ys[keep] - lo_y) / (hi_y - lo_y) * inner_h
-    return pts
+    return (y0 + PANEL_H - PAD_B) - (ys - lo_y) / (hi_y - lo_y) * inner_h
 
 
-def _polyline(xs, ys, x_range, y_range, x0, y0, color):
-    """The finite (x, y) points as one polyline in the panel at (x0, y0)."""
-    pts = _points(xs, ys, x_range, y_range, x0, y0)
-    if not len(pts):
+def _tick_text(ts, t_range, x0):
+    """Each tick's x in a panel at x0 as `%.2f,` text; ticks are integers,
+    so every x is finite."""
+    return formatted(_scale_x(ts, t_range, x0), "%.2f,")
+
+
+def _polyline(x_text, ys, y_range, y0, color):
+    """The ticks with a finite y as one polyline in a panel at y0;
+    x_text is `_tick_text` of the panel's column."""
+    keep = np.isfinite(ys)
+    if not keep.any():
         return ""
-    points = " ".join(["%.2f,%.2f"] * len(pts)) % tuple(pts.ravel().tolist())
+    cells = [None] * (2 * int(keep.sum()))
+    cells[0::2] = x_text[keep].tolist()
+    cells[1::2] = formatted(_scale_y(ys[keep], y_range, y0), "%.2f ").tolist()
+    cells[-1] = cells[-1][:-1]
     return (f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
-            f'points="{points}"/>')
+            f'points="{"".join(cells)}"/>')
 
 
 def _panel_frame(x0, y0, caption):
@@ -108,12 +122,12 @@ def _depth_panel(bundle, x0, y0):
     return "".join(parts)
 
 
-def _series_panel(caption, ts, t_range, ys, x0, y0, color):
+def _series_panel(caption, x_text, ys, x0, y0, color):
     ys = np.asarray(ys, dtype=float)
     y_range = _axis_range(ys)
     return "".join((
         _panel_frame(x0, y0, caption),
-        _polyline(ts, ys, t_range, y_range, x0, y0, color),
+        _polyline(x_text, ys, y_range, y0, color),
         _range_labels(x0, y0, y_range),
     ))
 
@@ -135,24 +149,27 @@ def series_figure(bundle: SeriesBundle) -> str:
         np.asarray(bundle.columns[name], dtype=float)
         for name in ("t", "bid", "ask", "mid", "ret"))
     t_range = _axis_range(ts)  # the x axis of every series panel
+    # The panels are drawn one column at a time, so only one column's
+    # tick text is held at once.
+    x_text = _tick_text(ts, t_range, 0)
+    viscosity = _series_panel("(c) smoothed viscosity", x_text, bundle.smoothed_mu,
+                              0, PANEL_H, "#7048b0")
+    returns = _series_panel("(e) returns", x_text, rets, 0, 2 * PANEL_H, "#48790f")
+    del x_text
+    x_text = _tick_text(ts, t_range, PANEL_W)
+    mid = _series_panel("(b) mid price", x_text, mids, PANEL_W, 0, "#333333")
     # each quote is drawn on its own range; the labels give the joint one
     bid_ask = "".join((
         _panel_frame(PANEL_W, PANEL_H, "(d) bid / ask"),
-        _polyline(ts, bids, t_range, _axis_range(bids), PANEL_W, PANEL_H, "#4878b0"),
-        _polyline(ts, asks, t_range, _axis_range(asks), PANEL_W, PANEL_H, "#b05048"),
+        _polyline(x_text, bids, _axis_range(bids), PANEL_H, "#4878b0"),
+        _polyline(x_text, asks, _axis_range(asks), PANEL_H, "#b05048"),
         _range_labels(PANEL_W, PANEL_H, _axis_range(np.concatenate((bids, asks)))),
     ))
-    body = "".join((
-        _depth_panel(bundle, 0, 0),
-        _series_panel("(b) mid price", ts, t_range, mids, PANEL_W, 0, "#333333"),
-        _series_panel("(c) smoothed viscosity", ts, t_range, bundle.smoothed_mu,
-                      0, PANEL_H, "#7048b0"),
-        bid_ask,
-        _series_panel("(e) returns", ts, t_range, rets, 0, 2 * PANEL_H, "#48790f"),
-        _series_panel("(f) smoothed Reynolds number", ts, t_range,
-                      bundle.smoothed_reynolds, PANEL_W, 2 * PANEL_H, "#b07a1e"),
-    ))
-    return head + body + "</svg>"
+    reynolds = _series_panel("(f) smoothed Reynolds number", x_text,
+                             bundle.smoothed_reynolds, PANEL_W, 2 * PANEL_H, "#b07a1e")
+    del x_text
+    return "".join((head, _depth_panel(bundle, 0, 0), mid, viscosity, bid_ask,
+                    returns, reynolds, "</svg>"))
 
 
 def _heat_color(frac: float) -> str:

@@ -13,21 +13,26 @@ Each case drives one branch of the writers:
 `series.svg` for one 20k-tick run. Two-decimal coordinates hide a
 one-ulp change, so the figure's coordinates are also compared with the
 scalar formula, double for double.
+
+The writers format each distinct value once and write `series.csv` in
+blocks; their bytes are also compared with reference writers that
+format every row and every point on its own, at each block seam.
 """
 
 import hashlib
 import math
+import os
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from marketflow import svg
+from marketflow import io, svg
 from marketflow.book import init_book
 from marketflow.cli import main
 from marketflow.config import SimConfig
 from marketflow.engine import SeriesBundle, run
-from marketflow.io import write_series_csv
+from marketflow.io import _BLOCK, write_series_csv
 from marketflow.physics import REGIMES, FlowRegime, TickRecord
 
 # (seed, P, window, steps) -> (series.csv sha256, series.svg sha256)
@@ -112,4 +117,133 @@ def test_points_are_the_doubles_of_the_scalar_formula():
          y0 + svg.PANEL_H - svg.PAD_B - (y - lo_y) / (hi_y - lo_y) * inner_h]
         for x, y in zip(xs.tolist(), ys.tolist())
         if math.isfinite(x) and math.isfinite(y)]
-    assert svg._points(xs, ys, x_range, y_range, x0, y0).tolist() == expected
+    keep = np.isfinite(xs) & np.isfinite(ys)
+    points = np.stack((svg._scale_x(xs, x_range, x0)[keep],
+                       svg._scale_y(ys, y_range, y0)[keep]), axis=1)
+    assert points.tolist() == expected
+
+
+# The writers as they were before distinct-value formatting: one `%`
+# call per row and per polyline, kept as references for the bytes.
+_SERIES_ROW = "%d,%d,%d" + ",%.6f" * 3 + ",%d" + ",%.6f" * 6 + ",%s\n"
+
+
+def _reference_series_csv(bundle):
+    columns = bundle.columns
+    rows = "".join(_SERIES_ROW % row for row in zip(
+        *[columns[name].tolist() for name in ("t", "bid", "ask", "mid", "ret", "v_t",
+                                              "spread", "volume", "p_hat", "mu")],
+        bundle.smoothed_mu, columns["reynolds"].tolist(), bundle.smoothed_reynolds,
+        [REGIMES[i].value for i in columns["regime"].tolist()]))
+    header = "\n".join(io.metadata_header(bundle.config) + [io.SERIES_COLUMNS])
+    return (header + "\n" + rows.replace("-inf", "inf")).encode()
+
+
+def _reference_polyline(xs, ys, x_range, y_range, x0, y0, color):
+    lo_x, hi_x = x_range
+    lo_y, hi_y = y_range
+    inner_w = svg.PANEL_W - svg.PAD_L - svg.PAD_R
+    inner_h = svg.PANEL_H - svg.PAD_T - svg.PAD_B
+    keep = np.isfinite(xs) & np.isfinite(ys)
+    pts = np.empty((int(keep.sum()), 2))
+    pts[:, 0] = (x0 + svg.PAD_L) + (xs[keep] - lo_x) / (hi_x - lo_x) * inner_w
+    pts[:, 1] = ((y0 + svg.PANEL_H - svg.PAD_B)
+                 - (ys[keep] - lo_y) / (hi_y - lo_y) * inner_h)
+    if not len(pts):
+        return ""
+    points = " ".join(["%.2f,%.2f"] * len(pts)) % tuple(pts.ravel().tolist())
+    return (f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
+            f'points="{points}"/>')
+
+
+def _reference_series_figure(bundle):
+    width, height = 2 * svg.PANEL_W, 3 * svg.PANEL_H
+    ts, bids, asks, mids, rets = (
+        np.asarray(bundle.columns[name], dtype=float)
+        for name in ("t", "bid", "ask", "mid", "ret"))
+    t_range = svg._axis_range(ts)
+
+    def panel(caption, lines, label_range, x0, y0):
+        return "".join((
+            svg._panel_frame(x0, y0, caption),
+            *[_reference_polyline(ts, ys, t_range, svg._axis_range(ys), x0, y0, color)
+              for ys, color in lines],
+            svg._range_labels(x0, y0, label_range)))
+
+    def one(caption, ys, x0, y0, color):
+        ys = np.asarray(ys, dtype=float)
+        return panel(caption, [(ys, color)], svg._axis_range(ys), x0, y0)
+
+    W, H = svg.PANEL_W, svg.PANEL_H
+    return "".join((
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">'
+        f'<rect width="{width}" height="{height}" fill="#fafafa"/>',
+        svg._depth_panel(bundle, 0, 0),
+        one("(b) mid price", mids, W, 0, "#333333"),
+        one("(c) smoothed viscosity", bundle.smoothed_mu, 0, H, "#7048b0"),
+        panel("(d) bid / ask", [(bids, "#4878b0"), (asks, "#b05048")],
+              svg._axis_range(np.concatenate((bids, asks))), W, H),
+        one("(e) returns", rets, 0, 2 * H, "#48790f"),
+        one("(f) smoothed Reynolds number", bundle.smoothed_reynolds, W, 2 * H,
+            "#b07a1e"),
+        "</svg>"))
+
+
+@pytest.mark.parametrize("config", [
+    *[SimConfig(seed=2, collision_probability=0.5, steps=steps)
+      for steps in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)],
+    SimConfig(seed=1, collision_probability=1.0, smoothing_window=1, steps=300),
+], ids=lambda config: f"P{config.collision_probability}-w{config.smoothing_window}"
+                      f"-n{config.steps}")
+def test_writers_match_the_per_value_references(tmp_path, config):
+    bundle = run(config)
+    path = tmp_path / "series.csv"
+    write_series_csv(bundle, str(path))
+    assert path.read_bytes() == _reference_series_csv(bundle)
+    assert svg.series_figure(bundle) == _reference_series_figure(bundle)
+
+
+def test_polylines_match_the_per_point_reference():
+    rng = np.random.default_rng(7)
+    ts = np.arange(3000, dtype=float)
+    ys = rng.normal(0.0, 1.0, 3000) * rng.uniform(1.0, 1e6, 3000)
+    ys[::5] = np.round(ys[::5], 1)  # repeats
+    ys[::7] = math.inf
+    ys[::11] = -math.inf
+    ys[::13] = math.nan
+    ys[::17] = -0.0
+    t_range, y_range = svg._axis_range(ts), svg._axis_range(ys)
+    for x0 in (0, svg.PANEL_W):
+        assert (svg._polyline(svg._tick_text(ts, t_range, x0), ys, y_range,
+                              svg.PANEL_H, "#333333")
+                == _reference_polyline(ts, ys, t_range, y_range, x0, svg.PANEL_H,
+                                       "#333333"))
+
+
+def test_a_failed_write_leaves_the_old_file_and_no_temporary(tmp_path, monkeypatch):
+    bundle = run(SimConfig(seed=2, collision_probability=0.5, steps=2 * _BLOCK + 3))
+    path = tmp_path / "series.csv"
+    path.write_text("the old file\n")
+    per_block = len(io._SERIES_FORMATS)  # formatted columns in one block
+    formatted, calls = io.formatted, []
+
+    def failing(values, fmt):
+        calls.append(fmt)
+        if len(calls) > per_block:  # the first column of the second block
+            raise RuntimeError("formatting failed")
+        return formatted(values, fmt)
+
+    monkeypatch.setattr(io, "formatted", failing)
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        write_series_csv(bundle, str(path))
+    assert len(calls) == per_block + 1
+    assert path.read_text() == "the old file\n"
+    assert os.listdir(tmp_path) == ["series.csv"]
+
+
+def test_a_failed_svg_write_leaves_no_temporary(tmp_path):
+    path = tmp_path / "series.svg"
+    with pytest.raises(TypeError):
+        svg.write_svg(None, str(path))
+    assert os.listdir(tmp_path) == []
