@@ -224,8 +224,8 @@ def reconcile(book: OrderBook) -> bool:
     """Replay the journal; True when the starting quotes are uncrossed,
     every size the replay sets or updates is positive, every consume
     takes its side's best level and every regen lands nine ticks past the
-    moved quote, and the replay rebuilds both sides of the live book bit
-    for bit.
+    moved quote, and the replay rebuilds the live book's quotes, and both
+    its sides bit for bit.
 
     The replay repeats the book's float operations in the same order, so
     a size changed without a journal entry, or an entry whose amount or
@@ -272,5 +272,6 @@ def reconcile(book: OrderBook) -> bool:
             sizes[price] = size
     except KeyError:  # no replayed level at that price
         return False
-    return (buy_sizes == {book.bid - i: s for i, s in enumerate(book.buy_sizes)}
+    return (bid == book.bid and ask == book.ask
+            and buy_sizes == {book.bid - i: s for i, s in enumerate(book.buy_sizes)}
             and sell_sizes == {book.ask + i: s for i, s in enumerate(book.sell_sizes)})
