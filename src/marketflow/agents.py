@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .book import BUY, SELL, FluidAgent, OrderBook
+from .book import BUY, SELL, OrderBook, Side
 
 GENERATOR_NAME = "numpy PCG64"
 
@@ -59,7 +59,8 @@ class AgentSampler:
         self._next_word = _raw_words(seed).__next__
         self._kept = None  # high half of a word, owed to the next 32-bit draw
 
-    def sample(self, book: OrderBook) -> FluidAgent:
+    def sample(self, book: OrderBook) -> tuple[Side, int, float]:
+        """The next agent against `book`, as (side, price, size)."""
         # The literals 2**-53 and 0xFFFFFFFF fold to constants.
         next_word = self._next_word
         side = BUY if (next_word() >> 11) * 2**-53 < 0.5 else SELL
@@ -79,4 +80,4 @@ class AgentSampler:
                     break
             depth = scaled >> 32
             price = book.bid - depth if side is BUY else book.ask + depth
-        return FluidAgent(side, price, book.size_at(price))
+        return side, price, book.size_at(price)

@@ -6,8 +6,8 @@ rests in the book (passive) or trades against the best opposite level
 (active). Fills are capped at that single level: a full fill removes
 it, moves that quote one tick outward, appends one far-end level, and
 any residual agent size rests on the traded side's new best level.
-`apply_order` reports only what the agent did: the traded volume, the
-two pre-trade notionals and the quotes after the trade.
+An agent is a (side, price, size) tuple, and `apply_order` returns a
+tuple of what it did.
 
 Level prices are derived from the quotes, so ten contiguous ticks per
 side, an uncrossed book and positive sizes hold by construction under
@@ -21,7 +21,6 @@ far end. The one runtime check is the price floor in `consume_best`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .config import SimConfig
@@ -36,31 +35,6 @@ class Side(Enum):
 # Module-level members for the hot paths: `Side.BUY` is a Python-level
 # Enum descriptor lookup, a global is a dict hit.
 BUY, SELL = Side
-
-
-@dataclass(slots=True)
-class FluidAgent:
-    """One incoming financial agent: side, integer price, positive size."""
-
-    side: Side
-    price: int
-    size: float
-
-
-@dataclass(slots=True)
-class InteractionOutcome:
-    """What one agent did to the book: the traded volume (0.0 when it
-    rested), the pre-trade notionals of the obstacle (the best opposite
-    level) and of the order (the agent itself), and the quotes after the
-    trade. The book derives nothing from these; `engine._readout` alone
-    turns them into v_T, l and the collision flag.
-    """
-
-    traded_volume: float
-    obstacle_notional: float
-    order_notional: float
-    bid: int
-    ask: int
 
 
 class SizeMemo(dict):
@@ -180,15 +154,20 @@ def init_book(config: SimConfig) -> OrderBook:
                      config.m, config.h)
 
 
-def apply_order(book: OrderBook, agent: FluidAgent) -> InteractionOutcome:
-    """Apply one agent to the book and report the interaction.
+def apply_order(book: OrderBook, own: Side, price: int,
+                size: float) -> tuple[float, float, float, int, int]:
+    """Apply one agent (side `own`, integer price, positive size) and
+    return `(volume, obstacle_notional, order_notional, bid, ask)`: the
+    traded volume (0.0 when it rested), the pre-trade notionals of the
+    obstacle (the best opposite level) and of the agent, and the quotes
+    after the trade. Only `engine._readout` derives v_T, l and the
+    collision flag from these.
 
     Active means the agent's price is the opposite best quote; anything
     else rests passively on the agent's own side. A buy residual from a
     full fill rests on the sell side's new best level, a sell residual
     on the buy side's new best.
     """
-    own, price, size = agent.side, agent.price, agent.size
     bid, ask = book.bid, book.ask
     if own is BUY:
         opp, opposite_best, depth = SELL, ask, bid - price
@@ -205,7 +184,7 @@ def apply_order(book: OrderBook, agent: FluidAgent) -> InteractionOutcome:
                 f"{own.value} price {price} is neither the opposite best "
                 f"nor a resting {own.value} level")
         book.add_size(own, depth, size, "passive")
-        return InteractionOutcome(0.0, obstacle_notional, order_notional, bid, ask)
+        return 0.0, obstacle_notional, order_notional, bid, ask
 
     if size >= obstacle_size:
         volume = book.consume_best(opp)
@@ -216,8 +195,7 @@ def apply_order(book: OrderBook, agent: FluidAgent) -> InteractionOutcome:
         volume = size
         book.take_best(opp, volume)
 
-    return InteractionOutcome(volume, obstacle_notional, order_notional,
-                              book.bid, book.ask)
+    return volume, obstacle_notional, order_notional, book.bid, book.ask
 
 
 def reconcile(book: OrderBook) -> bool:

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from operator import itemgetter
 
 import numpy as np
 
 from .agents import AgentSampler
-from .book import InteractionOutcome, OrderBook, apply_order, init_book, reconcile
+from .book import OrderBook, apply_order, init_book, reconcile
 from .config import SimConfig
 from .physics import (
     REGIMES,
@@ -28,8 +28,8 @@ _TICK_FIELDS = [f.name for f in fields(TickRecord)]
 @dataclass
 class SeriesBundle:
     """A completed run: one numpy column per `TickRecord` field, the
-    smoothed series, the config, which reproduces the run exactly, and
-    the final book.
+    smoothed series as float64 arrays, the config, which reproduces the
+    run exactly, and the final book.
 
     `columns` maps each field name to an array over the ticks, in field
     order; `regime` holds indices into `physics.REGIMES`. `ticks` builds
@@ -37,8 +37,8 @@ class SeriesBundle:
     """
 
     columns: dict[str, np.ndarray]
-    smoothed_mu: list[float]
-    smoothed_reynolds: list[float]
+    smoothed_mu: np.ndarray
+    smoothed_reynolds: np.ndarray
     config: SimConfig
     final_book: OrderBook
 
@@ -49,41 +49,35 @@ class SeriesBundle:
         return list(map(TickRecord, *rows))
 
 
-def step(book: OrderBook, sampler: AgentSampler, t: int) -> InteractionOutcome:
-    """Sample one agent and apply it: the one per-tick call of a run. A
-    `DegenerateBookError` is re-raised with a `tick N: ` prefix."""
+def step(book: OrderBook, sampler: AgentSampler, t: int) -> tuple:
+    """Sample one agent, apply it and return `apply_order`'s outcome: the
+    one per-tick call of a run. A `DegenerateBookError` is re-raised
+    with a `tick N: ` prefix."""
     try:
-        return apply_order(book, sampler.sample(book))
+        return apply_order(book, *sampler.sample(book))
     except DegenerateBookError as exc:
         raise DegenerateBookError(f"tick {t}: {exc}") from exc
 
 
-def _column(outcomes: list[InteractionOutcome], name: str, dtype) -> np.ndarray:
-    return np.fromiter(map(attrgetter(name), outcomes), dtype, len(outcomes))
-
-
-def _readout(outcomes: list[InteractionOutcome], bid0: int, ask0: int,
+def _readout(outcomes: list[tuple], bid0: int, ask0: int,
              p: float) -> dict[str, np.ndarray]:
-    """The run's `TickRecord` columns from its outcomes, the starting
-    quotes and the configured collision probability, one array pass per
-    quantity.
+    """The run's `TickRecord` columns from its `apply_order` outcomes,
+    the starting quotes and the configured collision probability, one
+    array pass per quantity.
 
     The one definition of v_T, l and a collision: v_T is the change of
     the mid (bid + ask) / 2.0 from the previous tick, l is the previous
     tick's spread, and a tick collided exactly when its volume is
-    positive. The book reports only the post-trade quotes, the volume
-    and the two notionals.
+    positive.
     """
-    bid = _column(outcomes, "bid", np.int64)
-    ask = _column(outcomes, "ask", np.int64)
-    volume = _column(outcomes, "traded_volume", float)
+    volume, obstacle, order, bid, ask = (
+        np.fromiter(map(itemgetter(k), outcomes), dtype, len(outcomes))
+        for k, dtype in enumerate((float, float, float, np.int64, np.int64)))
     # Under SimConfig's 2**53 bound every mid is an exact half tick, so
     # the mid differences, and mid - v_T, are exact.
     mid = (bid + ask) / 2.0
     v_t = mid - np.concatenate(([(bid0 + ask0) / 2.0], mid[:-1]))
     spread = np.concatenate(([ask0 - bid0], (ask - bid)[:-1]))
-    obstacle = _column(outcomes, "obstacle_notional", float)
-    order = _column(outcomes, "order_notional", float)
     if p >= 1.0:
         # the closed form rejects the saturated limit; take it explicitly
         reynolds = np.where(v_t == 0.0, 0.0, math.inf)
@@ -127,7 +121,7 @@ def run(config: SimConfig) -> SeriesBundle:
     )
 
 
-def _trailing_mean(values, window: int) -> list[float]:
+def _trailing_mean(values, window: int) -> np.ndarray:
     """Mean of each entry's trailing window, truncated at the head.
 
     Each window is summed from 0.0, oldest entry first, then divided by
@@ -145,10 +139,10 @@ def _trailing_mean(values, window: int) -> list[float]:
     with np.errstate(over="ignore", invalid="ignore"):  # inf and inf - inf
         for k in range(window - 1, -1, -1):
             acc[k:] += x[:n - k]
-    return (acc / np.minimum(np.arange(1, n + 1), window)).tolist()
+    return acc / np.minimum(np.arange(1, n + 1), window)
 
 
-def smooth_viscosity(raw, clamp: float, window: int) -> list[float]:
+def smooth_viscosity(raw, clamp: float, window: int) -> np.ndarray:
     """Three stages: clamp infinities, normalize by the largest finite
     value of the whole series, then trailing moving average.
 
@@ -166,6 +160,6 @@ def smooth_viscosity(raw, clamp: float, window: int) -> list[float]:
     return _trailing_mean(np.where(infinite, clamp, x), window)
 
 
-def smooth_series(raw, window: int) -> list[float]:
+def smooth_series(raw, window: int) -> np.ndarray:
     """Trailing moving average, truncated at the series head."""
     return _trailing_mean(raw, window)

@@ -146,8 +146,7 @@ def _series_text(bundle: SeriesBundle):
     yield "\n".join(metadata_header(bundle.config) + [SERIES_COLUMNS, ""])
     columns = bundle.columns
     series = ([columns[name] for name in _SERIES_FIELDS]
-              + [np.asarray(bundle.smoothed_mu, dtype=float), columns["reynolds"],
-                 np.asarray(bundle.smoothed_reynolds, dtype=float)])
+              + [bundle.smoothed_mu, columns["reynolds"], bundle.smoothed_reynolds])
     names = np.array([regime.value + "\n" for regime in REGIMES], dtype=object)
     width = len(series) + 1
     for lo in range(0, len(columns["t"]), _BLOCK):

@@ -84,8 +84,8 @@ def _summarize(config: SimConfig) -> RunSummary:
     counts = np.bincount(columns["regime"], minlength=len(REGIMES)).tolist()
     return RunSummary(
         config=config,
-        final_mu=bundle.smoothed_mu[-1],
-        final_reynolds=bundle.smoothed_reynolds[-1],
+        final_mu=float(bundle.smoothed_mu[-1]),
+        final_reynolds=float(bundle.smoothed_reynolds[-1]),
         max_reynolds=float(columns["reynolds"].max()),
         regime_counts={regime.value: n for regime, n in zip(REGIMES, counts) if n},
     )

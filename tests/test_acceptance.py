@@ -164,13 +164,13 @@ def test_criterion_04_sampling_frequencies_within_three_sigma():
                                                  (Side.SELL, book.ask, 1))
                         for i in range(10)}
         for _ in range(n):
-            agent = sampler.sample(book)
-            buys += agent.side is Side.BUY
-            collision_price = book.ask if agent.side is Side.BUY else book.bid
-            if agent.price == collision_price:
+            side, price, _ = sampler.sample(book)
+            buys += side is Side.BUY
+            collision_price = book.ask if side is Side.BUY else book.bid
+            if price == collision_price:
                 collisions += 1
             else:
-                level_counts[(agent.side, agent.price)] += 1
+                level_counts[(side, price)] += 1
         sigma_p = math.sqrt(p * (1 - p) / n)
         if abs(collisions / n - p) > 3 * sigma_p:
             failures.append(f"collision@{p}")

@@ -34,8 +34,7 @@ def test_same_seed_same_agents():
     draws = []
     for _ in range(2):
         sampler = AgentSampler(0.4, seed=42)
-        draws.append([(a.side, a.price, a.size)
-                      for a in (sampler.sample(book) for _ in range(100))])
+        draws.append([sampler.sample(book) for _ in range(100)])
     assert draws[0] == draws[1]
 
 
@@ -43,8 +42,8 @@ def test_different_seeds_differ():
     book = _static_book()
     a = AgentSampler(0.4, seed=1)
     b = AgentSampler(0.4, seed=2)
-    seq_a = [(x.side, x.price) for x in (a.sample(book) for _ in range(50))]
-    seq_b = [(x.side, x.price) for x in (b.sample(book) for _ in range(50))]
+    seq_a = [a.sample(book)[:2] for _ in range(50)]
+    seq_b = [b.sample(book)[:2] for _ in range(50)]
     assert seq_a != seq_b
 
 
@@ -52,7 +51,7 @@ def test_side_frequency_is_balanced():
     book = _static_book()
     sampler = AgentSampler(0.5, seed=7)
     n = 10_000
-    buys = sum(sampler.sample(book).side is Side.BUY for _ in range(n))
+    buys = sum(sampler.sample(book)[0] is Side.BUY for _ in range(n))
     sigma = math.sqrt(0.25 / n)
     assert abs(buys / n - 0.5) <= 3 * sigma
 
@@ -61,13 +60,13 @@ def test_prices_stay_in_the_sample_space():
     book = _static_book()
     sampler = AgentSampler(0.3, seed=9)
     for _ in range(2000):
-        agent = sampler.sample(book)
-        if agent.side is Side.BUY:
+        side, price, _ = sampler.sample(book)
+        if side is Side.BUY:
             own = {book.bid - i for i in range(len(book.buy_sizes))}
         else:
             own = {book.ask + i for i in range(len(book.sell_sizes))}
-        collision = book.ask if agent.side is Side.BUY else book.bid
-        assert agent.price in own | {collision}
+        collision = book.ask if side is Side.BUY else book.bid
+        assert price in own | {collision}
 
 
 @pytest.mark.parametrize("p", [0.15, 0.99])
@@ -77,9 +76,9 @@ def test_collision_frequency_tracks_the_probability(p):
     n = 10_000
     hits = 0
     for _ in range(n):
-        agent = sampler.sample(book)
-        collision = book.ask if agent.side is Side.BUY else book.bid
-        hits += agent.price == collision
+        side, price, _ = sampler.sample(book)
+        collision = book.ask if side is Side.BUY else book.bid
+        hits += price == collision
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(hits / n - p) <= 3 * sigma
 
@@ -90,10 +89,10 @@ def test_zero_probability_never_collides_and_levels_are_uniform():
     n = 10_000
     counts = {}
     for _ in range(n):
-        agent = sampler.sample(book)
-        collision = book.ask if agent.side is Side.BUY else book.bid
-        assert agent.price != collision
-        counts[(agent.side, agent.price)] = counts.get((agent.side, agent.price), 0) + 1
+        side, price, _ = sampler.sample(book)
+        collision = book.ask if side is Side.BUY else book.bid
+        assert price != collision
+        counts[(side, price)] = counts.get((side, price), 0) + 1
     # each (side, level) cell carries probability 1/20
     q = 1 / 20
     sigma = math.sqrt(q * (1 - q) / n)
@@ -106,19 +105,18 @@ def test_size_is_the_kernel_value_at_the_price():
     book = _static_book()
     sampler = AgentSampler(0.5, seed=3)
     for _ in range(200):
-        agent = sampler.sample(book)
-        assert agent.size == size_at(agent.price, book.bid, book.ask,
-                                     2000.0, 10.0)
-        assert agent.size > 0
+        _, price, size = sampler.sample(book)
+        assert size == size_at(price, book.bid, book.ask, 2000.0, 10.0)
+        assert size > 0
 
 
 def test_collision_size_pin():
     # at the reference configuration the best-quote size is about 0.7148
     book = _static_book()
     sampler = AgentSampler(1.0, seed=0)
-    agent = sampler.sample(book)
-    assert agent.price in (book.bid, book.ask)
-    assert abs(agent.size - 0.7148) < 5e-5
+    _, price, size = sampler.sample(book)
+    assert price in (book.bid, book.ask)
+    assert abs(size - 0.7148) < 5e-5
 
 
 @pytest.mark.parametrize("p", [0.0, 0.15, 0.5, 0.99, 1.0])
@@ -136,9 +134,7 @@ def test_agents_match_numpy_scalar_draws(p):
             else:
                 depth = int(rng.integers(0, 10))
                 price = book.bid - depth if side is Side.BUY else book.ask + depth
-            agent = sampler.sample(book)
-            assert (agent.side, agent.price, agent.size) == (
-                side, price, book.size_at(price)), seed
+            assert sampler.sample(book) == (side, price, book.size_at(price)), seed
 
 
 def test_rejected_draws_take_the_next_32_bits():
@@ -156,8 +152,6 @@ def test_rejected_draws_take_the_next_32_bits():
         2**63, 0,                          # tick 2: sell, no collision
     ])                                     # kept 3006477108: depth 7
     sampler._next_word = words.__next__
-    first = sampler.sample(book)
-    assert (first.side, first.price) == (Side.BUY, book.bid - 2)
-    second = sampler.sample(book)
-    assert (second.side, second.price) == (Side.SELL, book.ask + 7)
+    assert sampler.sample(book)[:2] == (Side.BUY, book.bid - 2)
+    assert sampler.sample(book)[:2] == (Side.SELL, book.ask + 7)
     assert next(words, None) is None

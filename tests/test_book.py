@@ -4,7 +4,6 @@ import pytest
 
 from marketflow.agents import AgentSampler
 from marketflow.book import (
-    FluidAgent,
     OrderBook,
     Side,
     apply_order,
@@ -57,44 +56,44 @@ class TestPassiveOrders:
     def test_buy_limit_joins_its_level(self):
         book = _book()
         before = book.buy_sizes[book.bid - 3678]
-        out = apply_order(book, FluidAgent(Side.BUY, 3678, 0.25))
+        volume, _, _, bid, ask = apply_order(book, Side.BUY, 3678, 0.25)
         assert book.buy_sizes[book.bid - 3678] == before + 0.25
-        assert out.traded_volume == 0.0
-        assert (out.bid, out.ask) == (3681, 3682)
+        assert volume == 0.0
+        assert (bid, ask) == (3681, 3682)
 
     def test_quotes_unchanged(self):
         book = _book()
-        apply_order(book, FluidAgent(Side.SELL, 3690, 0.5))
+        apply_order(book, Side.SELL, 3690, 0.5)
         assert (book.bid, book.ask) == (3681, 3682)
 
     def test_inadmissible_price_rejected(self):
         book = _book()
         # a seller-side price is not in the buyer's space
         with pytest.raises(ValueError):
-            apply_order(book, FluidAgent(Side.BUY, 3683, 0.1))
+            apply_order(book, Side.BUY, 3683, 0.1)
         with pytest.raises(ValueError):
-            apply_order(book, FluidAgent(Side.BUY, 3600, 0.1))
+            apply_order(book, Side.BUY, 3600, 0.1)
 
 
 class TestActiveOrders:
     def test_exact_full_fill_moves_ask_up_one_tick(self):
         book = _book()
         ask_size = book.sell_sizes[3682 - book.ask]
-        out = apply_order(book, FluidAgent(Side.BUY, 3682, ask_size))
-        assert out.traded_volume == ask_size
-        assert (out.bid, out.ask) == (book.bid, book.ask) == (3681, 3683)
+        volume, _, _, bid, ask = apply_order(book, Side.BUY, 3682, ask_size)
+        assert volume == ask_size
+        assert (bid, ask) == (book.bid, book.ask) == (3681, 3683)
         assert book.ask - book.bid == 2
 
     def test_sell_full_fill_moves_bid_down(self):
         book = _book()
         bid_size = book.buy_sizes[book.bid - 3681]
-        out = apply_order(book, FluidAgent(Side.SELL, 3681, bid_size + 1e-9))
-        assert (out.bid, out.ask) == (book.bid, book.ask) == (3680, 3682)
+        _, _, _, bid, ask = apply_order(book, Side.SELL, 3681, bid_size + 1e-9)
+        assert (bid, ask) == (book.bid, book.ask) == (3680, 3682)
 
     def test_full_fill_regenerates_the_far_end(self):
         book = _book()
         ask_size = book.sell_sizes[3682 - book.ask]
-        apply_order(book, FluidAgent(Side.BUY, 3682, ask_size))
+        apply_order(book, Side.BUY, 3682, ask_size)
         assert len(book.sell_sizes) == 10
         assert book.ask + len(book.sell_sizes) - 1 == 3692
         # sized against the post-removal anchors
@@ -106,7 +105,7 @@ class TestActiveOrders:
         ask_size = book.sell_sizes[3682 - book.ask]
         next_before = book.sell_sizes[3683 - book.ask]
         agent_size = ask_size + 0.375
-        apply_order(book, FluidAgent(Side.BUY, 3682, agent_size))
+        apply_order(book, Side.BUY, 3682, agent_size)
         assert book.ask == 3683
         # the posted residual is agent size minus the consumed volume
         assert book.sell_sizes[3683 - book.ask] == \
@@ -115,24 +114,25 @@ class TestActiveOrders:
     def test_partial_fill_shrinks_the_level_in_place(self):
         book = _book()
         bid_size = book.buy_sizes[book.bid - 3681]
-        out = apply_order(book, FluidAgent(Side.SELL, 3681, bid_size / 2))
-        assert out.traded_volume == bid_size / 2
-        assert (out.bid, out.ask) == (book.bid, book.ask) == (3681, 3682)
+        volume, _, _, bid, ask = apply_order(book, Side.SELL, 3681, bid_size / 2)
+        assert volume == bid_size / 2
+        assert (bid, ask) == (book.bid, book.ask) == (3681, 3682)
         assert book.buy_sizes[book.bid - 3681] == bid_size - bid_size / 2
 
     def test_outcome_captures_pretrade_notionals(self):
         book = _book()
         ask_size = book.sell_sizes[3682 - book.ask]
-        out = apply_order(book, FluidAgent(Side.BUY, 3682, 0.125))
-        assert out.obstacle_notional == ask_size * 3682
-        assert out.order_notional == 0.125 * 3682
-        assert out.traded_volume == 0.125
+        volume, obstacle_notional, order_notional, _, _ = \
+            apply_order(book, Side.BUY, 3682, 0.125)
+        assert obstacle_notional == ask_size * 3682
+        assert order_notional == 0.125 * 3682
+        assert volume == 0.125
 
     def test_deterministic(self):
         results = []
         for _ in range(2):
             book = _book()
-            out = apply_order(book, FluidAgent(Side.BUY, 3682, 0.3))
+            out = apply_order(book, Side.BUY, 3682, 0.3)
             results.append((out, book.ask, list(book.sell_sizes)))
         assert results[0] == results[1]
 
@@ -141,7 +141,7 @@ class TestRegeneration:
     def test_buy_side_extends_downward(self):
         book = _book()
         bid_size = book.buy_sizes[book.bid - 3681]
-        apply_order(book, FluidAgent(Side.SELL, 3681, bid_size))
+        apply_order(book, Side.SELL, 3681, bid_size)
         assert book.bid - (len(book.buy_sizes) - 1) == 3671
         assert book.buy_sizes[book.bid - 3671] == \
             size_at(3671, 3680, 3682, 2000.0, 10.0)
@@ -150,7 +150,7 @@ class TestRegeneration:
 class TestCheck:
     def test_non_positive_size_is_a_typed_error(self):
         book = _book()
-        apply_order(book, FluidAgent(Side.BUY, 3678, -1e6))
+        apply_order(book, Side.BUY, 3678, -1e6)
         with pytest.raises(DegenerateBookError, match="buy level 3678"):
             book.check()
 
@@ -188,7 +188,7 @@ class TestSpreadDirection:
         sampler = AgentSampler(0.7, seed=5)
         spread = book.ask - book.bid
         for _ in range(400):
-            apply_order(book, sampler.sample(book))
+            apply_order(book, *sampler.sample(book))
             book.check()
             assert book.ask - book.bid >= spread
             spread = book.ask - book.bid
@@ -201,7 +201,7 @@ class TestLedger:
             book = init_book(config)
             sampler = AgentSampler(0.5, seed=seed)
             for _ in range(300):
-                apply_order(book, sampler.sample(book))
+                apply_order(book, *sampler.sample(book))
             assert reconcile(book)
 
     def test_size_changed_without_an_entry_fails(self):
@@ -213,9 +213,9 @@ class TestLedger:
         "op", ["init", "passive", "trade", "consume", "regen", "residual"])
     def test_altered_journal_amount_fails(self, op):
         book = _book()
-        apply_order(book, FluidAgent(Side.BUY, 3680, 0.4))
-        apply_order(book, FluidAgent(Side.SELL, 3681, 0.1))
-        apply_order(book, FluidAgent(Side.BUY, 3682, book.sell_sizes[0] + 0.1))
+        apply_order(book, Side.BUY, 3680, 0.4)
+        apply_order(book, Side.SELL, 3681, 0.1)
+        apply_order(book, Side.BUY, 3682, book.sell_sizes[0] + 0.1)
         assert reconcile(book) is True
         i = next(i for i, entry in enumerate(book.journal) if entry[0] == op)
         tag, side, price, amount = book.journal[i]
@@ -250,7 +250,7 @@ class TestLedger:
         # the regenerated levels and the final sizes still line up
         book = _book()
         for _ in range(2):
-            apply_order(book, FluidAgent(Side.BUY, book.ask, book.sell_sizes[0]))
+            apply_order(book, Side.BUY, book.ask, book.sell_sizes[0])
         assert reconcile(book) is True
         first, second = (i for i, entry in enumerate(book.journal)
                          if entry[0] == "consume")
@@ -281,8 +281,8 @@ class TestLedger:
     def test_journal_tags_cover_every_mutation(self):
         book = _book()
         ask_size = book.sell_sizes[3682 - book.ask]
-        apply_order(book, FluidAgent(Side.BUY, 3678, 0.2))
-        apply_order(book, FluidAgent(Side.BUY, 3682, ask_size + 0.1))
+        apply_order(book, Side.BUY, 3678, 0.2)
+        apply_order(book, Side.BUY, 3682, ask_size + 0.1)
         ops = [entry[0] for entry in book.journal]
         assert ops.count("init") == 20
         assert "passive" in ops
@@ -292,6 +292,6 @@ class TestLedger:
 
     def test_journal_records_passive_traffic(self):
         book = _book()
-        apply_order(book, FluidAgent(Side.BUY, 3680, 0.4))
+        apply_order(book, Side.BUY, 3680, 0.4)
         assert book.journal[-1] == ("passive", Side.BUY, 3680, 0.4)
         assert reconcile(book) is True

@@ -26,7 +26,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import event, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from marketflow.book import FluidAgent, Side, apply_order, init_book, reconcile
+from marketflow.book import Side, apply_order, init_book, reconcile
 from marketflow.config import SimConfig
 from marketflow.physics import DegenerateBookError
 
@@ -138,10 +138,10 @@ def _neutral(book, journal):
 
     - swapping two equal entries: nothing changed;
     - swapping two entries at different levels, unless both are consumes
-      or regens of one side or one is a side's first init (say a regen
-      and the residual after it, or a trade and a passive): the replay
-      applies each to its own level, and neither moves a quote the other
-      reads;
+      or regens of one side, or one is a side's first init and the other
+      is on that side (say a regen and the residual after it, or a trade
+      and a passive): the replay applies each to its own level, and
+      neither moves a quote the other reads;
     - moving, dropping or swapping a passive, residual or trade, or
       shifting any amount but a consume's by one ulp, when rounding
       absorbs the change before the level is compared, as in
@@ -222,18 +222,16 @@ class BookMachine(RuleBasedStateMachine):
             size = obstacle
         elif size == "below tie":
             size = math.nextafter(obstacle, 0.0)
-        start = len(model.journal)
+        before = len(model.journal)
         try:
             want = model.apply(side, price, size)
         except DegenerateBookError:
             event("price floor")
             with pytest.raises(DegenerateBookError, match="price floor"):
-                apply_order(self.book, FluidAgent(side, price, size))
+                apply_order(self.book, side, price, size)
             return  # `compare` finds both books unchanged
-        out = apply_order(self.book, FluidAgent(side, price, size))
-        assert (out.traded_volume, out.obstacle_notional, out.order_notional,
-                out.bid, out.ask) == (*want, model.bid, model.ask)
-        assert self.book.journal[start:] == model.journal[start:]
+        assert apply_order(self.book, side, price, size) == (*want, model.bid, model.ask)
+        assert self.book.journal[before:] == model.journal[before:]
 
     @rule(data=st.data())
     def corrupt(self, data):

@@ -17,26 +17,26 @@ from marketflow.physics import DegenerateBookError, FlowRegime, TickRecord
 
 class TestSmoothViscosity:
     def test_normalizes_by_the_series_maximum(self):
-        assert smooth_viscosity([4.0, 2.0, 8.0], clamp=2.0, window=1) == \
+        assert smooth_viscosity([4.0, 2.0, 8.0], clamp=2.0, window=1).tolist() == \
             [0.5, 0.25, 1.0]
 
     def test_all_infinite_becomes_all_clamp(self):
-        assert smooth_viscosity([math.inf] * 5, clamp=2.0, window=1) == [2.0] * 5
-        assert smooth_viscosity([math.inf] * 5, clamp=2.0, window=3) == [2.0] * 5
+        assert smooth_viscosity([math.inf] * 5, clamp=2.0, window=1).tolist() == [2.0] * 5
+        assert smooth_viscosity([math.inf] * 5, clamp=2.0, window=3).tolist() == [2.0] * 5
 
     def test_clamped_entries_stay_at_the_clamp(self):
         # the infinity must not flatten the finite structure
-        assert smooth_viscosity([math.inf, 4.0], clamp=2.0, window=1) == \
+        assert smooth_viscosity([math.inf, 4.0], clamp=2.0, window=1).tolist() == \
             [2.0, 1.0]
 
     def test_single_finite_value_normalizes_to_one(self):
-        assert smooth_viscosity([5.0], clamp=2.0, window=1) == [1.0]
+        assert smooth_viscosity([5.0], clamp=2.0, window=1).tolist() == [1.0]
 
     def test_all_zero_series_stays_zero(self):
-        assert smooth_viscosity([0.0, 0.0], clamp=2.0, window=1) == [0.0, 0.0]
+        assert smooth_viscosity([0.0, 0.0], clamp=2.0, window=1).tolist() == [0.0, 0.0]
 
     def test_empty_series(self):
-        assert smooth_viscosity([], clamp=2.0, window=4) == []
+        assert smooth_viscosity([], clamp=2.0, window=4).tolist() == []
 
     def test_output_bounded_by_the_clamp(self):
         raw = [math.inf, 3.0, 0.5, math.inf, 12.0, 0.0]
@@ -50,19 +50,19 @@ class TestSmoothViscosity:
 
 class TestSmoothSeries:
     def test_trailing_mean_example(self):
-        assert smooth_series([1.0, 2.0, 3.0, 4.0], window=2) == \
+        assert smooth_series([1.0, 2.0, 3.0, 4.0], window=2).tolist() == \
             [1.0, 1.5, 2.5, 3.5]
 
     def test_window_one_is_identity(self):
         data = [3.0, 1.0, 4.0, 1.0, 5.0]
-        assert smooth_series(data, window=1) == data
+        assert smooth_series(data, window=1).tolist() == data
 
     def test_constant_series(self):
-        assert smooth_series([0.0] * 6, window=4) == [0.0] * 6
+        assert smooth_series([0.0] * 6, window=4).tolist() == [0.0] * 6
 
     def test_head_truncation_beyond_length(self):
         # window larger than the series: every prefix mean
-        assert smooth_series([2.0, 4.0], window=10) == [2.0, 3.0]
+        assert smooth_series([2.0, 4.0], window=10).tolist() == [2.0, 3.0]
 
     def test_preserves_length(self):
         for n in (0, 1, 5, 50):
@@ -112,7 +112,7 @@ class TestExactOrderSmoothing:
             [v.hex() for v in self._reference(values, window)]
 
     def test_empty_series(self):
-        assert smooth_series([], window=5) == []
+        assert smooth_series([], window=5).tolist() == []
 
 
 class TestRun:
@@ -132,8 +132,8 @@ class TestRun:
         a = run(SimConfig(steps=120, seed=9))
         b = run(SimConfig(steps=120, seed=9))
         assert a.ticks == b.ticks
-        assert a.smoothed_mu == b.smoothed_mu
-        assert a.smoothed_reynolds == b.smoothed_reynolds
+        assert a.smoothed_mu.tolist() == b.smoothed_mu.tolist()
+        assert a.smoothed_reynolds.tolist() == b.smoothed_reynolds.tolist()
 
     def test_passive_only_run(self):
         bundle = run(SimConfig(collision_probability=0.0, steps=40, seed=2))
@@ -143,8 +143,8 @@ class TestRun:
             assert tick.mu == math.inf
             assert tick.reynolds == 0.0
             assert tick.regime is FlowRegime.LAMINAR
-        assert bundle.smoothed_mu == [2.0] * 40
-        assert bundle.smoothed_reynolds == [0.0] * 40
+        assert bundle.smoothed_mu.tolist() == [2.0] * 40
+        assert bundle.smoothed_reynolds.tolist() == [0.0] * 40
 
     def test_infinite_viscosity_goes_with_zero_reynolds(self):
         bundle = run(SimConfig(collision_probability=0.5, steps=300, seed=6))
@@ -258,19 +258,19 @@ def _scalar_ticks(config):
     ticks = []
     for t in range(config.steps):
         bid, ask = book.bid, book.ask
-        agent = sampler.sample(book)
-        collided = agent.price == (ask if agent.side is Side.BUY else bid)
-        out = apply_order(book, agent)
+        side, price, size = sampler.sample(book)
+        collided = price == (ask if side is Side.BUY else bid)
+        volume, obstacle_notional, order_notional, _, _ = \
+            apply_order(book, side, price, size)
         # the readout's rule: a tick collided exactly when it traded volume
-        volume = out.traded_volume
         assert (volume > 0.0) == collided
         mid = (book.bid + book.ask) / 2.0
         v_t = mid - (bid + ask) / 2.0
         spread = ask - bid
         denom = volume * v_t
         mu = (math.inf if denom == 0.0 else
-              abs((out.obstacle_notional - out.order_notional) / denom))
-        p_hat = (min(out.order_notional / out.obstacle_notional, 1.0)
+              abs((obstacle_notional - order_notional) / denom))
+        p_hat = (min(order_notional / obstacle_notional, 1.0)
                  if collided else 0.0)
         if p >= 1.0:
             nr = 0.0 if v_t == 0.0 else math.inf
@@ -329,15 +329,15 @@ class TestStepIsThePatchPoint:
             outcomes.append(out)
             return out
 
-        def guarded_apply(book, agent):
+        def guarded_apply(*args):
             assert inside, "apply_order called outside engine.step"
-            return real_apply(book, agent)
+            return real_apply(*args)
 
         monkeypatch.setattr(engine, "step", counting_step)
         monkeypatch.setattr(engine, "apply_order", guarded_apply)
         bundle = run(SimConfig(steps=75, seed=3))
         assert ticks == list(range(75))
         columns = bundle.columns
-        assert columns["bid"].tolist() == [out.bid for out in outcomes]
-        assert columns["ask"].tolist() == [out.ask for out in outcomes]
-        assert columns["volume"].tolist() == [out.traded_volume for out in outcomes]
+        assert columns["bid"].tolist() == [out[3] for out in outcomes]
+        assert columns["ask"].tolist() == [out[4] for out in outcomes]
+        assert columns["volume"].tolist() == [out[0] for out in outcomes]

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from marketflow.book import FluidAgent, Side, apply_order, init_book
+from marketflow.book import Side, apply_order, init_book
 from marketflow.config import SimConfig
 from marketflow.physics import (
     REGIMES,
@@ -161,15 +161,15 @@ class TestCollisionRatio:
         # positive size times a price >= 1; the full fill that would put
         # a buy level at price 0 raises and leaves the book untouched
         book = init_book(SimConfig(initial_bid=11))
-        out = apply_order(book, FluidAgent(Side.SELL, 11, book.buy_sizes[0]))
+        _, obstacle_notional, order_notional, _, _ = \
+            apply_order(book, Side.SELL, 11, book.buy_sizes[0])
         assert book.bid - (len(book.buy_sizes) - 1) == 1
-        assert collision_ratio(out.order_notional, out.obstacle_notional,
-                               True) > 0.0
+        assert collision_ratio(order_notional, obstacle_notional, True) > 0.0
         state = (book.bid, book.ask, list(book.buy_sizes),
                  list(book.sell_sizes), list(book.journal))
         with pytest.raises(DegenerateBookError,
                            match=r"^price floor: .* bid 10 \(ask 12\) .* price 0$"):
-            apply_order(book, FluidAgent(Side.SELL, 10, book.buy_sizes[0]))
+            apply_order(book, Side.SELL, 10, book.buy_sizes[0])
         assert state == (book.bid, book.ask, list(book.buy_sizes),
                          list(book.sell_sizes), list(book.journal))
 

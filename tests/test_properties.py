@@ -57,7 +57,7 @@ def test_valid_config_completes_or_fails_typed(fields):
     assert len(bundle.ticks) == config.steps
     assert len(bundle.smoothed_mu) == len(bundle.smoothed_reynolds) == config.steps
     values = [v for tick in bundle.ticks for v in astuple(tick)]
-    values += bundle.smoothed_mu + bundle.smoothed_reynolds
+    values += bundle.smoothed_mu.tolist() + bundle.smoothed_reynolds.tolist()
     assert not any(isinstance(v, float) and math.isnan(v) for v in values)
 
 

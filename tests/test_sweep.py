@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from marketflow import sweep
@@ -135,6 +136,18 @@ class TestBatchRuns:
             assert summary.final_reynolds == bundle.smoothed_reynolds[-1]
             assert summary.max_reynolds == max(t.reynolds for t in bundle.ticks)
             assert sum(summary.regime_counts.values()) == 40
+
+    def test_stats_are_floats_and_smoothed_series_are_arrays(self):
+        # plain floats keep a RunSummary's repr free of np.float64(...)
+        base = SimConfig(steps=40)
+        summary, = batch_runs(base, [{}], seeds=[5])
+        stats = (summary.final_mu, summary.final_reynolds, summary.max_reynolds)
+        assert [type(v) for v in stats] == [float] * 3
+        bundle = run(replace(base, seed=5))
+        for series in (bundle.smoothed_mu, bundle.smoothed_reynolds):
+            assert isinstance(series, np.ndarray)
+            assert series.dtype == np.float64
+            assert series.shape == (40,)
 
     def test_errors_are_captured_per_cell(self):
         base = SimConfig(steps=10)

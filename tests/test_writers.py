@@ -133,7 +133,8 @@ def _reference_series_csv(bundle):
     rows = "".join(_SERIES_ROW % row for row in zip(
         *[columns[name].tolist() for name in ("t", "bid", "ask", "mid", "ret", "v_t",
                                               "spread", "volume", "p_hat", "mu")],
-        bundle.smoothed_mu, columns["reynolds"].tolist(), bundle.smoothed_reynolds,
+        bundle.smoothed_mu.tolist(), columns["reynolds"].tolist(),
+        bundle.smoothed_reynolds.tolist(),
         [REGIMES[i].value for i in columns["regime"].tolist()]))
     header = "\n".join(io.metadata_header(bundle.config) + [io.SERIES_COLUMNS])
     return (header + "\n" + rows.replace("-inf", "inf")).encode()
