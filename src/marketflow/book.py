@@ -38,10 +38,11 @@ BUY, SELL = Side
 
 
 class SizeMemo(dict):
-    """`physics.size_at` for one (m, h), with `kernel_weight(r, h)`
-    memoised by integer tick offset r: the same float operations, so the
-    same bits. The book keeps the run's only one; it grows with the
-    spread."""
+    """The kernel size at a price, `m * (kernel_weight(price - bid, h)
+    + kernel_weight(price - ask, h))`, for one (m, h), with
+    `kernel_weight(r, h)` memoised by integer tick offset r: the same
+    float operations as the unmemoised formula, so the same bits. The
+    book keeps the run's only one; it grows with the spread."""
 
     def __init__(self, m: float, h: float):
         super().__init__()
@@ -104,13 +105,14 @@ class OrderBook:
         append a far level sized at the new quotes; returns the removed
         size. Raises `DegenerateBookError`, with the book untouched, when
         the far level would sit below price 1: the only path that lowers
-        a price."""
+        a price. The error names both quotes and both best sizes."""
         sizes, best, step = self._side(side)
         far = best + step * 10
         if far < 1:
             raise DegenerateBookError(
                 f"price floor: a full fill at bid {self.bid} (ask {self.ask}) "
-                f"would put a buy level at price {far}")
+                f"with best sizes {self.buy_sizes[0]!r} (buy) and "
+                f"{self.sell_sizes[0]!r} (sell) would put a buy level at price {far}")
         size = sizes.pop(0)
         self.journal.append(("consume", side, best, size))
         if side is BUY:

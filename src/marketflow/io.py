@@ -6,11 +6,9 @@ file alone suffices to reproduce itself. Files are written to a
 temporary sibling and renamed into place; a write that raises removes
 the sibling and leaves the old file as it was.
 
-The per-run writers format each distinct value of a column once
-(`formatted`) and build their text with joins. A `%` format's output
-depends only on the value's bits, and distinct values are told apart
-by their bits, so every output byte is what formatting each value on
-its own gives.
+The per-run writers format whole columns at once with
+`numfmt.formatted`, whose bytes are those of `%` applied to each value
+on its own, and join the results as bytes.
 """
 
 from __future__ import annotations
@@ -25,6 +23,7 @@ from . import __version__
 from .agents import GENERATOR_NAME
 from .config import CONFIG_FIELDS, SimConfig, coerce_field
 from .engine import SeriesBundle
+from .numfmt import formatted, joined, words
 from .physics import REGIMES
 from .sweep import RunSummary, SurfaceGrid
 
@@ -100,12 +99,12 @@ def _fmt(x: float) -> str:
 
 
 def _atomic_write_chunks(path: str, chunks) -> None:
-    """Write each string of `chunks` to `path + ".tmp"`, then rename it
-    onto `path`. If writing, or making a chunk, raises, the temporary
-    file is removed and `path` is left as it was."""
+    """Write each bytes object of `chunks` to `path + ".tmp"`, then
+    rename it onto `path`. If writing, or making a chunk, raises, the
+    temporary file is removed and `path` is left as it was."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        with open(tmp, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -117,18 +116,7 @@ def _atomic_write_chunks(path: str, chunks) -> None:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    _atomic_write_chunks(path, (text,))
-
-
-def formatted(values, fmt: str) -> np.ndarray:
-    """`fmt % v` for each entry of a 1-D array, as an object array; each
-    distinct value is formatted once. Floats are told apart by their
-    bits, so 0.0 and -0.0, and each NaN, keep their own text."""
-    values = np.ascontiguousarray(values)
-    key = values.view(np.int64) if values.dtype == np.float64 else values
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    texts = np.array([fmt % v for v in values[first].tolist()], dtype=object)
-    return texts[inverse.reshape(-1)]
+    _atomic_write_chunks(path, map(str.encode, (text,)))
 
 
 # The format of each series.csv column before the regime, separator
@@ -142,22 +130,18 @@ _BLOCK = 2048
 
 
 def _series_text(bundle: SeriesBundle):
-    """series.csv's header, then its rows, one block at a time."""
-    yield "\n".join(metadata_header(bundle.config) + [SERIES_COLUMNS, ""])
+    """series.csv's header, then its rows, one block at a time, as bytes."""
+    yield "\n".join(metadata_header(bundle.config) + [SERIES_COLUMNS, ""]).encode()
     columns = bundle.columns
     series = ([columns[name] for name in _SERIES_FIELDS]
               + [bundle.smoothed_mu, columns["reynolds"], bundle.smoothed_reynolds])
-    names = np.array([regime.value + "\n" for regime in REGIMES], dtype=object)
-    width = len(series) + 1
+    names = words([(regime.value + "\n").encode() for regime in REGIMES])
     for lo in range(0, len(columns["t"]), _BLOCK):
         cut = slice(lo, lo + _BLOCK)
-        regimes = columns["regime"][cut]
-        cells = [None] * (width * len(regimes))
-        for k, (values, fmt) in enumerate(zip(series, _SERIES_FORMATS)):
-            cells[k::width] = formatted(values[cut], fmt).tolist()
-        cells[width - 1::width] = names[regimes].tolist()
+        cells = [formatted(values[cut], fmt) for values, fmt in zip(series, _SERIES_FORMATS)]
+        cells.append(names[columns["regime"][cut]])
         # %.6f keeps the sign of -inf; no other cell can hold "-inf"
-        yield "".join(cells).replace("-inf", "inf")
+        yield joined(np.concatenate(cells, axis=1)).replace(b"-inf", b"inf")
 
 
 def write_series_csv(bundle: SeriesBundle, path: str) -> None:

@@ -1,0 +1,191 @@
+"""Exact `%` formatting of numeric columns with numpy.
+
+`formatted` gives, for each entry of an array, the bytes that `fmt % v`
+gives, as one row of uint32 words, and `joined` turns such rows into
+text. The writers in `io` and `svg` format whole columns with them, with
+no Python call per value.
+"""
+
+from __future__ import annotations
+
+import functools
+import re
+
+import numpy as np
+
+
+def words(texts, width: int = 1) -> np.ndarray:
+    """Each bytes object of `texts` as a row of uint32 words, padded
+    with zero bytes to the longest of them, or to `width` words."""
+    width = max([width] + [-(-len(text) // 4) for text in texts])
+    return np.array(texts, dtype=f"S{4 * width}").view(np.uint32).reshape(-1, width)
+
+
+@functools.cache
+def _group_words():
+    """Two tables of 4-byte words for a group of four decimal digits
+    n < 10**4: entry n holds its digits with leading zeros; entry
+    n + 10**4, for a group with no digit above it, holds each leading
+    zero as a zero byte. In the table for the last group, the ones digit
+    stays, so that 0 is "0". Built on first use, not on import."""
+    n = np.arange(10**4)[:, None]
+    place = np.array([1000, 100, 10, 1])
+    digits = (n // place % 10 + ord("0")).astype(np.uint8)
+    units = np.where((n < place) & (place > 1), 0, digits).astype(np.uint8)
+    leading = units.copy()
+    leading[0] = 0
+    return tuple(np.concatenate((digits, lead)).view(np.uint32).ravel()
+                 for lead in (leading, units))
+
+
+_MINUS = words([b"-"])[0, 0]
+# A format `formatted` evaluates with numpy: one `%d` or `%.Nf`
+# conversion with literal text after it
+_CONVERSION = re.compile(r"%(?:d|\.(\d)f)([^%]*)")
+
+
+def _tail_words(places: int, suffix: bytes) -> list:
+    """What follows the integer digits (the point, the `places` digits
+    of the fraction f, then the suffix) as 4-byte words: for each word,
+    (divisor, count, table), so that the word is
+    `table[f // divisor % count]`."""
+    text = (b"." + b"0" * places if places else b"") + suffix
+    tail = []
+    for start in range(0, len(text), 4):
+        chunk = range(start, min(start + 4, len(text)))
+        last = max((j for j in chunk if 1 <= j <= places), default=0)
+        count = 10 ** sum(1 <= j <= places for j in chunk)
+        i = np.arange(count)[:, None]
+        table = np.zeros((count, 4), dtype=np.uint8)
+        for byte, j in enumerate(chunk):
+            table[:, byte:byte + 1] = (i // 10 ** (last - j) % 10 + ord("0")
+                                       if 1 <= j <= places else text[j])
+        tail.append((10 ** (places - last), count, table.view(np.uint32).ravel()))
+    return tail
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(fmt: str):
+    """(places, or None for `%d`; suffix; `_tail_words`) of a format
+    `formatted` evaluates with numpy; None for any other."""
+    match = _CONVERSION.fullmatch(fmt)
+    if match is None:
+        return None
+    places = None if match[1] is None else int(match[1])
+    suffix = match[2].encode()
+    return places, suffix, _tail_words(places or 0, suffix)
+
+
+def _product_error(a, b, p):
+    """`a * b - p` exactly, where p is the rounded product of a and b:
+    Dekker's two-product on Veltkamp's halves, exact when nothing
+    overflows or underflows."""
+    def halves(x):  # Veltkamp's split of a double into two 26-bit halves
+        c = (2.0**27 + 1) * x
+        hi = c - (c - x)
+        return hi, x - hi
+
+    (a_hi, a_lo), (b_hi, b_lo) = halves(a), halves(b)
+    return a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+
+
+def _integer_words(n) -> list:
+    """The decimal digits of the non-negative integers n, without
+    leading zeros, as columns of words, most significant first: one
+    word per four digits of the largest."""
+    mid, low = _group_words()
+    columns = []
+    above = 0  # n // 10**(4 * (g + 1)): the digits above group g
+    for g in range(-(-len(str(n.max(initial=0))) // 4) - 1, -1, -1):
+        high = n // 10 ** (4 * g)
+        # the group's digits, high % 10**4, as a subtraction (numpy's
+        # integer `%` is several times slower than `//`), looked up in the
+        # table's second half, without leading zeros, where no digit
+        # stands above the group
+        table = low if g == 0 else mid
+        columns.append(table[high - above * 10**4 + (above == 0) * 10**4])
+        above = high
+    return columns
+
+
+def formatted(values, fmt: str) -> np.ndarray:
+    """`fmt % v` for each entry v of a 1-D array, as one row of uint32
+    words per entry whose non-zero bytes, in memory order, are the text.
+    `joined` turns rows into their texts.
+
+    Where `fmt` is one `%d` or `%.Nf` conversion with literal text after
+    it and `|v| * 10**N < 2**52`, the digits are numpy arithmetic:
+    - `%d` of a float truncates toward zero;
+    - `%.Nf` rounds the exact binary value half to even, as CPython's
+      correctly rounded `%` does. Let p be the rounded product
+      `|v| * 10**N`. Below 2**52 every n + 1/2 is a double, and rounding
+      is monotonic, so the exact product lies on p's side of each
+      n + 1/2 that p is not. Only where p is one does the sign of the
+      product's exact error (`_product_error`) settle the tie;
+    - the sign comes from the sign bit, so -0.0 and a negative value
+      that rounds to zero keep their "-", and NaN never gets one;
+    - `%.Nf` spells the infinities and NaN `inf`, `-inf` and `nan`.
+
+    Every other value, and every other format, goes through `%` one
+    value at a time, so `%d` of NaN or an infinity raises as `%` does.
+    """
+    values = np.asarray(values)
+    layout = _layout(fmt)
+    if layout is None:
+        return words([(fmt % v).encode() for v in values.tolist()])
+    places, suffix, tail = layout
+    x = values.astype(np.float64)
+    mag = np.abs(x)
+    # Values past the bound, NaN and the infinities take no part in the
+    # arithmetic: it would warn on them, under `-W error` too.
+    small = mag < 2.0**52
+    mag[~small] = 0.0
+    unit = 10 ** (places or 0)
+    scale = float(unit)
+    p = mag * scale
+    small &= p < 2.0**52
+    p[~small] = 0.0
+    k = p.astype(np.int64)  # floor(p), and for `%d` |v| truncated
+    if places is None:
+        minus = (x < 0.0) & (k != 0)
+        named = np.zeros(x.shape, dtype=bool)
+    else:
+        frac = p - k
+        ties = np.flatnonzero(frac == 0.5)
+        k += frac > 0.5
+        if len(ties):
+            error = _product_error(mag[ties], scale, p[ties])
+            k[ties] += (error > 0.0) | (error == 0.0) & (k[ties] % 2 == 1)
+        minus = np.signbit(x) & ~np.isnan(x)
+        named = ~np.isfinite(x)
+    whole = k // unit
+    part = k - whole * unit
+
+    columns = [np.where(minus, _MINUS, 0)] if minus.any() else []
+    body = len(columns)
+    columns += _integer_words(whole)
+    above = 0  # part // (divisor * count): the digits before the word's
+    for divisor, count, table in tail:
+        if count == 1:  # no digit: a word of the suffix
+            columns.append(table[0])
+            continue
+        high = part // divisor
+        columns.append(table[high - above * count])  # high % count
+        above = high
+
+    big = ~(small | named)
+    texts = words([(fmt % v).encode() for v in values[big].tolist()], len(columns))
+    rows = np.zeros((len(x), texts.shape[1]), dtype=np.uint32)
+    for j, column in enumerate(columns):
+        rows[:, j] = column
+    if named.any():
+        spelled = words([b"inf" + suffix, b"nan" + suffix], len(columns) - body)
+        rows[named, body:len(columns)] = spelled[np.isnan(x[named]).astype(int)]
+    rows[big] = texts
+    return rows
+
+
+def joined(rows) -> bytes:
+    """The texts of a matrix of `formatted` rows, row after row: its
+    bytes without the zero bytes."""
+    return rows.tobytes().translate(None, b"\0")

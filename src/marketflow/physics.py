@@ -51,15 +51,6 @@ def kernel_weight(r: float, h: float) -> float:
     return math.exp(-(r * r) / (h * h)) / (h * h * h * math.pi ** 1.5)
 
 
-def size_at(price: float, bid: float, ask: float, m: float, h: float) -> float:
-    """Size coordinate at a price: kernel mass from both quote anchors.
-
-    Runs size levels and agents through `book.SizeMemo`, which memoises
-    the weights; this is the unmemoised reference it is checked against.
-    """
-    return m * (kernel_weight(price - bid, h) + kernel_weight(price - ask, h))
-
-
 def viscosity(volume, v_t, obstacle_notional, order_notional) -> np.ndarray:
     """Viscosity analog: notional imbalance over (volume * price change),
     elementwise over the ticks.
@@ -89,22 +80,6 @@ def collision_ratio(order_notional, obstacle_notional, collision) -> np.ndarray:
     ratio = np.zeros(np.shape(order_notional))
     np.divide(order_notional, obstacle_notional, out=ratio, where=collision)
     return np.minimum(ratio, 1.0, out=ratio)
-
-
-def reynolds_tick(r, v_t, l) -> np.ndarray:
-    """Per-tick Reynolds number from the realized collision ratio r,
-    elementwise: r * v_T^2 * l / (1 - r).
-
-    0 where v_T = 0 or r = 0, +inf where r = 1 with v_T != 0. Runs record
-    the closed form instead; this is the per-notional reference the
-    closed form is checked against.
-    """
-    r, v_t, l = np.broadcast_arrays(r, v_t, l)
-    moving = (v_t != 0.0) & (r != 0.0)
-    n_r = np.zeros(r.shape)
-    np.divide(r * (v_t * v_t) * l, 1.0 - r, out=n_r, where=moving & (r != 1.0))
-    n_r[moving & (r == 1.0)] = math.inf
-    return n_r
 
 
 def reynolds_closed_form(v_t, l, p: float):

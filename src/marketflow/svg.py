@@ -6,11 +6,10 @@ Series coordinates are computed with numpy, one array operation per
 step of the scalar formula and in Python's operation order; numpy's
 elementwise float64 arithmetic rounds like Python's, so every
 coordinate is the double the scalar formula gives.
-Each distinct coordinate is formatted once (`io.formatted`), and the
-tick axis once per panel column: a tick's x depends only on the tick
-range and the column, so every series panel in a column shares it.
-A `%.2f` text depends only on the double's bits, so the markup is the
-same as formatting every point on its own.
+Coordinates are formatted by `numfmt.formatted`, whose bytes are those
+of `%.2f` applied to each point on its own, and the tick axis once per
+panel column: a tick's x depends only on the tick range and the
+column, so every series panel in a column shares it.
 The CSV files stay canonical; these figures are a quick visual check.
 """
 
@@ -19,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import SeriesBundle
-from .io import _atomic_write, formatted
+from .io import _atomic_write
+from .numfmt import formatted, joined
 from .sweep import SurfaceGrid
 
 PANEL_W = 380
@@ -66,8 +66,8 @@ def _scale_y(ys, y_range, y0):
 
 
 def _tick_text(ts, t_range, x0):
-    """Each tick's x in a panel at x0 as `%.2f,` text; ticks are integers,
-    so every x is finite."""
+    """Each tick's x in a panel at x0 as `%.2f,` rows of `numfmt.formatted`;
+    ticks are integers, so every x is finite."""
     return formatted(_scale_x(ts, t_range, x0), "%.2f,")
 
 
@@ -77,12 +77,10 @@ def _polyline(x_text, ys, y_range, y0, color):
     keep = np.isfinite(ys)
     if not keep.any():
         return ""
-    cells = [None] * (2 * int(keep.sum()))
-    cells[0::2] = x_text[keep].tolist()
-    cells[1::2] = formatted(_scale_y(ys[keep], y_range, y0), "%.2f ").tolist()
-    cells[-1] = cells[-1][:-1]
+    points = joined(np.concatenate(
+        (x_text[keep], formatted(_scale_y(ys[keep], y_range, y0), "%.2f ")), axis=1))
     return (f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
-            f'points="{"".join(cells)}"/>')
+            f'points="{points[:-1].decode()}"/>')
 
 
 def _panel_frame(x0, y0, caption):

@@ -26,7 +26,6 @@ from marketflow.physics import (
     collision_ratio,
     kernel_weight,
     reynolds_closed_form,
-    reynolds_tick,
 )
 from marketflow.agents import AgentSampler
 from marketflow.sweep import (
@@ -38,6 +37,7 @@ from marketflow.sweep import (
 )
 
 from conftest import SCORECARD
+from reference import reynolds_tick
 
 BASE = SimConfig()  # bid 3681, spread 1, m 2000, h 10, P 0.99, 450 steps
 SEEDS = range(20)

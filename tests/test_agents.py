@@ -12,7 +12,7 @@ import pytest
 from marketflow.agents import BLOCK, GENERATOR_NAME, AgentSampler
 from marketflow.book import Side, init_book
 from marketflow.config import SimConfig
-from marketflow.physics import size_at
+from reference import size_at
 
 
 def _static_book():

@@ -11,7 +11,8 @@ from marketflow.book import (
     reconcile,
 )
 from marketflow.config import SimConfig
-from marketflow.physics import DegenerateBookError, size_at
+from marketflow.physics import DegenerateBookError
+from reference import size_at
 
 
 def _book(**kwargs):

@@ -16,10 +16,9 @@ from marketflow.physics import (
     collision_ratio,
     kernel_weight,
     reynolds_closed_form,
-    reynolds_tick,
-    size_at,
     viscosity,
 )
+from reference import reynolds_tick, size_at
 
 
 def _outcome(obstacle=1000.0, order=500.0, volume=5.0, v_t=1.0,
@@ -168,8 +167,10 @@ class TestCollisionRatio:
         state = (book.bid, book.ask, list(book.buy_sizes),
                  list(book.sell_sizes), list(book.journal))
         with pytest.raises(DegenerateBookError,
-                           match=r"^price floor: .* bid 10 \(ask 12\) .* price 0$"):
+                           match=r"^price floor: .* bid 10 \(ask 12\) .* price 0$") as caught:
             apply_order(book, Side.SELL, 10, book.buy_sizes[0])
+        assert (f" with best sizes {book.buy_sizes[0]!r} (buy) and "
+                f"{book.sell_sizes[0]!r} (sell) " in str(caught.value))
         assert state == (book.bid, book.ask, list(book.buy_sizes),
                          list(book.sell_sizes), list(book.journal))
 

@@ -4,8 +4,9 @@ Over a bounded configuration space, every config that builds either
 completes, with no NaN in its records or smoothed series, or stops at
 the price floor with the package's typed error, which names the tick.
 
-The writers' `io.formatted` gives `fmt % v` for every entry, for each
-format the writers use, on float and int arrays alike."""
+The writers' `numfmt.formatted` gives `fmt % v` for every entry, for
+each format the writers use, on float and int arrays alike, and so does
+a whole `series.csv`, cell by cell."""
 
 import math
 import re
@@ -17,10 +18,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
+from marketflow.cli import main
 from marketflow.config import SimConfig
 from marketflow.engine import run
-from marketflow.io import formatted
-from marketflow.physics import DegenerateBookError
+from marketflow.io import _BLOCK, SERIES_COLUMNS, parse_series_header
+from marketflow.numfmt import formatted, joined
+from marketflow.physics import REGIMES, DegenerateBookError
 
 # Bids near 10, the smallest valid one, reach the price floor within 200
 # ticks, h below about 0.35 is rejected for small m, bids near 2**52
@@ -62,13 +65,28 @@ def test_valid_config_completes_or_fails_typed(fields):
 
 
 WRITER_FORMATS = ("%d,", "%.6f,", "%.2f,", "%.2f ")
-# Both zeros, both infinities, NaN, subnormals, the extremes, and values
-# whose texts meet at six or two decimals; drawn often, so they repeat
-SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+# Where `%.Nf` leaves the numpy arithmetic: |v| * 10**N >= 2**52
+BOUNDS = [2.0**52 / 10**n for n in (0, 2, 6)]
+# Both zeros, both infinities, NaN of either sign, subnormals, the
+# extremes, values whose texts meet at six or two decimals, exact binary
+# ties at six and two decimals, each bound and its neighbours, values
+# whose rounded product |v| * 10**N is off by more than a half, a
+# negative that rounds to zero, and floats that `%d` truncates; drawn
+# often, so they repeat
+SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
            2.2250738585072014e-308, 1.7976931348623157e308,
            -1.7976931348623157e308, 1e22, 0.0049999999999999, 0.005,
-           -0.005, 1.0000005, 2.5, -2.5)
+           -0.005, 1.0000005, 2.5, -2.5, 0.0078125, -0.0078125, 0.125, 0.375,
+           *[math.nextafter(bound, to) for bound in BOUNDS
+             for to in (0.0, math.inf)], *BOUNDS, -BOUNDS[2],
+           180143985094819.8, 18014398509.48198, -1e-9, 2.7, -2.7, -0.5)
 FLOATS = st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats()), max_size=80)
+
+
+def _texts(rows):
+    """The text of each row of `formatted`: its non-zero bytes."""
+    assert rows.dtype == np.uint32 and rows.ndim == 2
+    return [row.tobytes().replace(b"\0", b"").decode() for row in rows]
 
 
 def _assert_formatted(values, fmt):
@@ -79,7 +97,8 @@ def _assert_formatted(values, fmt):
             formatted(values, fmt)
         return
     got = formatted(values, fmt)
-    assert got.dtype == object and got.tolist() == want
+    assert _texts(got) == want
+    assert joined(got) == "".join(want).encode()
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -96,5 +115,55 @@ def test_formatted_ints_match_the_scalar_formula(values, fmt):
 
 
 def test_formatted_keeps_the_sign_of_zero():
-    assert formatted(np.array([0.0, -0.0, 0.0]), "%.6f,").tolist() == [
+    assert _texts(formatted(np.array([0.0, -0.0, 0.0]), "%.6f,")) == [
         "0.000000,", "-0.000000,", "0.000000,"]
+
+
+@pytest.mark.parametrize("fmt", WRITER_FORMATS)
+def test_formatted_special_values_one_at_a_time(fmt):
+    # alone, so that a NaN in the same list cannot hide a `%d` case
+    for value in SPECIAL:
+        _assert_formatted(np.array([value]), fmt)
+
+
+@pytest.mark.parametrize("value,fmt,text", [
+    (0.0078125, "%.6f,", "0.007812,"),  # exact ties round half to even
+    (0.125, "%.2f ", "0.12 "),
+    (0.375, "%.2f ", "0.38 "),
+    (-1e-9, "%.6f,", "-0.000000,"),
+    (-math.nan, "%.6f,", "nan,"),
+    (-math.inf, "%.2f,", "-inf,"),
+    (2.7, "%d,", "2,"),  # %d truncates toward zero
+    (-2.7, "%d,", "-2,"),
+    (-0.5, "%d,", "0,"),
+])
+def test_formatted_spells_the_branches(value, fmt, text):
+    assert _texts(formatted(np.array([value]), fmt)) == [text]
+
+
+SERIES_CELLS = (("t", "%d"), ("bid", "%d"), ("ask", "%d"), ("mid", "%.6f"),
+                ("ret", "%.6f"), ("v_t", "%.6f"), ("spread", "%d"), ("volume", "%.6f"),
+                ("p_hat", "%.6f"), ("mu", "%.6f"), ("smoothed_mu", "%.6f"),
+                ("reynolds", "%.6f"), ("smoothed_reynolds", "%.6f"))
+
+
+def test_series_csv_cells_match_the_scalar_formula(tmp_path):
+    # P = 1 at window 1 mixes finite and infinite values, and both
+    # 2048-row block seams fall between two infinite rows
+    assert main(["simulate", "--collision-probability", "1.0", "--window", "1",
+                 "--steps", "4097", "--out", str(tmp_path)]) == 0
+    path = str(tmp_path / "series.csv")
+    bundle = run(parse_series_header(path))
+    series = {**bundle.columns, "smoothed_mu": bundle.smoothed_mu,
+              "smoothed_reynolds": bundle.smoothed_reynolds}
+    for seam in (_BLOCK, 2 * _BLOCK):
+        assert np.isinf(series["smoothed_reynolds"][seam - 1:seam + 1]).all()
+    with open(path) as fh:
+        rows = [line.rstrip("\n").split(",") for line in fh if not line.startswith("#")]
+    assert rows[0] == SERIES_COLUMNS.split(",")
+    assert len(rows) == 1 + 4097
+    cells = [[(fmt % v).replace("-inf", "inf") for v in series[name].tolist()]
+             for name, fmt in SERIES_CELLS]
+    regimes = [REGIMES[i].value for i in series["regime"].tolist()]
+    for t, row in enumerate(rows[1:]):
+        assert row == [column[t] for column in cells] + [regimes[t]], t

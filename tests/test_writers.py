@@ -14,7 +14,7 @@ Each case drives one branch of the writers:
 one-ulp change, so the figure's coordinates are also compared with the
 scalar formula, double for double.
 
-The writers format each distinct value once and write `series.csv` in
+The writers format whole columns with numpy and write `series.csv` in
 blocks; their bytes are also compared with reference writers that
 format every row and every point on its own, at each block seam.
 """
@@ -123,8 +123,8 @@ def test_points_are_the_doubles_of_the_scalar_formula():
     assert points.tolist() == expected
 
 
-# The writers as they were before distinct-value formatting: one `%`
-# call per row and per polyline, kept as references for the bytes.
+# The writers with one `%` call per row and per polyline, kept as
+# references for the bytes.
 _SERIES_ROW = "%d,%d,%d" + ",%.6f" * 3 + ",%d" + ",%.6f" * 6 + ",%s\n"
 
 
@@ -226,19 +226,21 @@ def test_a_failed_write_leaves_the_old_file_and_no_temporary(tmp_path, monkeypat
     bundle = run(SimConfig(seed=2, collision_probability=0.5, steps=2 * _BLOCK + 3))
     path = tmp_path / "series.csv"
     path.write_text("the old file\n")
-    per_block = len(io._SERIES_FORMATS)  # formatted columns in one block
+    per_block = len(io._SERIES_FORMATS)  # one formatted call per column and block
     formatted, calls = io.formatted, []
 
     def failing(values, fmt):
-        calls.append(fmt)
-        if len(calls) > per_block:  # the first column of the second block
+        calls.append((values[0], len(values), fmt))
+        if len(calls) > per_block:
             raise RuntimeError("formatting failed")
         return formatted(values, fmt)
 
     monkeypatch.setattr(io, "formatted", failing)
     with pytest.raises(RuntimeError, match="formatting failed"):
         write_series_csv(bundle, str(path))
+    # the first column of the second block: tick _BLOCK
     assert len(calls) == per_block + 1
+    assert calls[-1] == (_BLOCK, _BLOCK, io._SERIES_FORMATS[0])
     assert path.read_text() == "the old file\n"
     assert os.listdir(tmp_path) == ["series.csv"]
 
