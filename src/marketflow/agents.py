@@ -4,7 +4,11 @@ Every draw comes from PCG64's raw 64-bit stream, fetched from numpy in
 blocks, with numpy's scalar `Generator` algorithms replayed on it. The
 agents are the ones `np.random.default_rng(seed)` scalar calls give:
 
-- `random()` is `(x >> 11) * 2**-53` on one 64-bit word x.
+- `random()` is `(x >> 11) * 2**-53` on one 64-bit word x, so
+  `random() < p` holds exactly when `x < ceil(p * 2**53) << 11`: the
+  product by a power of two is exact, and an integer lies below a real
+  exactly when it lies below its ceiling. The sampler compares words
+  with these thresholds; for p = 0.5 the threshold is 2**63.
 - `integers(0, 10)` is Lemire's bounded method (arXiv:1805.10941) on
   one 32-bit draw u. PCG64's 32-bit draw returns the low half of a
   fresh word and keeps the high half for the next 32-bit draw; 64-bit
@@ -19,7 +23,8 @@ distribution code, which it lets change.
 
 from __future__ import annotations
 
-from typing import Iterator
+import math
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -28,13 +33,6 @@ from .book import BUY, SELL, OrderBook, Side
 GENERATOR_NAME = "numpy PCG64"
 
 BLOCK = 128  # raw words per call into numpy: ~50 ticks, a 6.6 KB list
-
-
-def _raw_words(seed: int) -> Iterator[int]:
-    """PCG64(seed)'s 64-bit outputs as Python ints, without end."""
-    bit_generator = np.random.PCG64(seed)
-    while True:
-        yield from bit_generator.random_raw(BLOCK).tolist()
 
 
 class AgentSampler:
@@ -50,22 +48,29 @@ class AgentSampler:
     reproduces the identical agent sequence.
     """
 
-    __slots__ = ("collision_probability", "_next_word", "_kept")
+    __slots__ = ("_collide_below", "_next_word", "_kept")
 
     def __init__(self, collision_probability: float, seed: int = 0):
         if not 0.0 <= collision_probability <= 1.0:
             raise ValueError("collision_probability must be in [0, 1]")
-        self.collision_probability = collision_probability
-        self._next_word = _raw_words(seed).__next__
+        self._collide_below = math.ceil(collision_probability * 2**53) << 11
+        # PCG64(seed)'s 64-bit outputs as Python ints, without end.
+        bit_generator = np.random.PCG64(seed)
+        self._next_word = chain.from_iterable(map(
+            np.ndarray.tolist, map(bit_generator.random_raw, repeat(BLOCK)))).__next__
         self._kept = None  # high half of a word, owed to the next 32-bit draw
 
     def sample(self, book: OrderBook) -> tuple[Side, int, float]:
-        """The next agent against `book`, as (side, price, size)."""
-        # The literals 2**-53 and 0xFFFFFFFF fold to constants.
+        """The next agent against `book`, as (side, price, size); the
+        size is `book.size_at(price)`, read from the weights as
+        `OrderBook` describes."""
+        # The literals 2**63 and 0xFFFFFFFF fold to constants.
         next_word = self._next_word
-        side = BUY if (next_word() >> 11) * 2**-53 < 0.5 else SELL
-        if (next_word() >> 11) * 2**-53 < self.collision_probability:
-            price = book.ask if side is BUY else book.bid
+        bid, ask = book.bid, book.ask
+        side = BUY if next_word() < 2**63 else SELL
+        if next_word() < self._collide_below:
+            depth = 0
+            price = ask if side is BUY else bid
         else:
             while True:  # Lemire: a draw is rejected with chance 6 / 2**32
                 kept = self._kept
@@ -79,5 +84,6 @@ class AgentSampler:
                 if (scaled & 0xFFFFFFFF) >= 6:
                     break
             depth = scaled >> 32
-            price = book.bid - depth if side is BUY else book.ask + depth
-        return side, price, book.size_at(price)
+            price = bid - depth if side is BUY else ask + depth
+        weights = book.weights
+        return side, price, book.m * (weights[depth] + weights[depth + ask - bid])

@@ -37,26 +37,6 @@ class Side(Enum):
 BUY, SELL = Side
 
 
-class SizeMemo(dict):
-    """The kernel size at a price, `m * (kernel_weight(price - bid, h)
-    + kernel_weight(price - ask, h))`, for one (m, h), with
-    `kernel_weight(r, h)` memoised by integer tick offset r: the same
-    float operations as the unmemoised formula, so the same bits. The
-    book keeps the run's only one; it grows with the spread."""
-
-    def __init__(self, m: float, h: float):
-        super().__init__()
-        self.m = m
-        self.h = h
-
-    def __missing__(self, r: int) -> float:
-        weight = self[r] = kernel_weight(r, self.h)
-        return weight
-
-    def size_at(self, price: int, bid: int, ask: int) -> float:
-        return self.m * (self[price - bid] + self[price - ask])
-
-
 class OrderBook:
     """Two quotes and ten sizes per side, indexed by depth from the best.
 
@@ -65,40 +45,35 @@ class OrderBook:
     the level count hold by construction. Passive orders add to sizes,
     partial fills shrink them, and the journal records each of those
     float operations at its level's price. The book holds the run's
-    kernel (m, h): `size_at` sizes its own levels and the sampler's agents.
+    kernel (m, h) and its weights by tick offset, `weights[r] =
+    kernel_weight(r, h)` for r = 0 ... spread + 9. A level d ticks outside
+    its nearer quote is d + spread ticks from the other, so its size is
+    `m * (weights[d] + weights[d + spread])`: the bits of `size_at`,
+    since float addition commutes. The far level after a full fill and
+    the sampler's agents are sized that way.
     """
 
     def __init__(self, bid: int, ask: int, m: float, h: float):
         self.bid = bid
         self.ask = ask
-        self._sizes = SizeMemo(m, h)
+        self.m = m
+        self.h = h
+        self.weights = [kernel_weight(r, h) for r in range(abs(ask - bid) + 10)]
         self.buy_sizes = [self.size_at(bid - i) for i in range(10)]
         self.sell_sizes = [self.size_at(ask + i) for i in range(10)]
         self.journal: list[tuple[str, Side, int, float]] = (
             [("init", BUY, bid - i, size) for i, size in enumerate(self.buy_sizes)]
             + [("init", SELL, ask + i, size) for i, size in enumerate(self.sell_sizes)])
 
-    def _side(self, side: Side) -> tuple[list[float], int, int]:
-        """(sizes, best price, outward tick step) of one side."""
-        if side is BUY:
-            return self.buy_sizes, self.bid, -1
-        return self.sell_sizes, self.ask, 1
-
     def size_at(self, price: int) -> float:
-        """Kernel size at `price` against the current quotes."""
-        return self._sizes.size_at(price, self.bid, self.ask)
+        """Kernel size at `price` against the current quotes, `m *
+        (kernel_weight(price - bid, h) + kernel_weight(price - ask, h))`
+        bit for bit: `kernel_weight` is even in an integer offset, so it
+        is read from `weights` at the offset's magnitude."""
+        weights = self.weights
+        return self.m * (weights[abs(price - self.bid)] + weights[abs(price - self.ask)])
 
     # --- journaled mutations -------------------------------------------
-
-    def add_size(self, side: Side, depth: int, amount: float, tag: str) -> None:
-        sizes, best, step = self._side(side)
-        sizes[depth] += amount
-        self.journal.append((tag, side, best + step * depth, amount))
-
-    def take_best(self, side: Side, amount: float) -> None:
-        sizes, best, _ = self._side(side)
-        sizes[0] -= amount
-        self.journal.append(("trade", side, best, amount))
 
     def consume_best(self, side: Side) -> float:
         """Remove the best level, move the quote one tick outward and
@@ -106,22 +81,25 @@ class OrderBook:
         size. Raises `DegenerateBookError`, with the book untouched, when
         the far level would sit below price 1: the only path that lowers
         a price. The error names both quotes and both best sizes."""
-        sizes, best, step = self._side(side)
-        far = best + step * 10
+        if side is BUY:
+            sizes, best, far = self.buy_sizes, self.bid, self.bid - 10
+        else:
+            sizes, best, far = self.sell_sizes, self.ask, self.ask + 10
         if far < 1:
             raise DegenerateBookError(
                 f"price floor: a full fill at bid {self.bid} (ask {self.ask}) "
                 f"with best sizes {self.buy_sizes[0]!r} (buy) and "
                 f"{self.sell_sizes[0]!r} (sell) would put a buy level at price {far}")
-        size = sizes.pop(0)
-        self.journal.append(("consume", side, best, size))
         if side is BUY:
             self.bid -= 1
         else:
             self.ask += 1
-        far_size = self.size_at(far)
+        size = sizes.pop(0)
+        weights = self.weights
+        weights.append(kernel_weight(len(weights), self.h))
+        far_size = self.m * (weights[9] + weights[-1])  # nine ticks out
         sizes.append(far_size)
-        self.journal.append(("regen", side, far, far_size))
+        self.journal += (("consume", side, best, size), ("regen", side, far, far_size))
         return size
 
     # --- invariants -----------------------------------------------------
@@ -135,8 +113,8 @@ class OrderBook:
         Runs do not call this: `reconcile` witnesses every step. It is
         for the final book and for a book altered by hand.
         """
-        for side in (BUY, SELL):
-            sizes, best, step = self._side(side)
+        for side, sizes, best, step in ((BUY, self.buy_sizes, self.bid, -1),
+                                        (SELL, self.sell_sizes, self.ask, 1)):
             if len(sizes) != 10:
                 raise DegenerateBookError(
                     f"{side.value} side holds {len(sizes)} levels, want 10")
@@ -173,10 +151,11 @@ def apply_order(book: OrderBook, own: Side, price: int,
     bid, ask = book.bid, book.ask
     if own is BUY:
         opp, opposite_best, depth = SELL, ask, bid - price
-        obstacle_size = book.sell_sizes[0]
+        own_sizes, opp_sizes = book.buy_sizes, book.sell_sizes
     else:
         opp, opposite_best, depth = BUY, bid, price - ask
-        obstacle_size = book.buy_sizes[0]
+        own_sizes, opp_sizes = book.sell_sizes, book.buy_sizes
+    obstacle_size = opp_sizes[0]
     obstacle_notional = obstacle_size * opposite_best
     order_notional = size * price
 
@@ -185,19 +164,23 @@ def apply_order(book: OrderBook, own: Side, price: int,
             raise ValueError(
                 f"{own.value} price {price} is neither the opposite best "
                 f"nor a resting {own.value} level")
-        book.add_size(own, depth, size, "passive")
+        own_sizes[depth] += size
+        book.journal.append(("passive", own, price, size))
         return 0.0, obstacle_notional, order_notional, bid, ask
 
     if size >= obstacle_size:
         volume = book.consume_best(opp)
+        bid, ask = book.bid, book.ask
         residual = size - volume
         if residual > 0.0:
-            book.add_size(opp, 0, residual, "residual")
+            opp_sizes[0] += residual
+            book.journal.append(("residual", opp, ask if opp is SELL else bid, residual))
     else:
         volume = size
-        book.take_best(opp, volume)
+        opp_sizes[0] -= size
+        book.journal.append(("trade", opp, opposite_best, size))
 
-    return volume, obstacle_notional, order_notional, book.bid, book.ask
+    return volume, obstacle_notional, order_notional, bid, ask
 
 
 def reconcile(book: OrderBook) -> bool:

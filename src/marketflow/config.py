@@ -41,6 +41,8 @@ class SimConfig:
             raise ValueError("initial_bid must be >= 10")
         if self.initial_spread < 1:
             raise ValueError("initial_spread must be >= 1")
+        if self.initial_spread > 2**16:  # the book keeps a weight per tick of spread
+            raise ValueError("initial_spread must be <= 65536")
         if not 0 < self.m < math.inf:
             raise ValueError("m must be finite and > 0")
         if not 0 < self.h < math.inf:

@@ -13,8 +13,9 @@ from marketflow.physics import kernel_weight
 def size_at(price: float, bid: float, ask: float, m: float, h: float) -> float:
     """Size coordinate at a price: kernel mass from both quote anchors.
 
-    Runs size levels and agents through `book.SizeMemo`, which memoises
-    the weights; this is the unmemoised reference it is checked against.
+    Runs size levels and agents from `OrderBook.weights`, a list of the
+    weights by the offset's magnitude; this is the unmemoised reference
+    it is checked against.
     """
     return m * (kernel_weight(price - bid, h) + kernel_weight(price - ask, h))
 

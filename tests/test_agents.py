@@ -119,7 +119,14 @@ def test_collision_size_pin():
     assert abs(size - 0.7148) < 5e-5
 
 
-@pytest.mark.parametrize("p", [0.0, 0.15, 0.5, 0.99, 1.0])
+# Probabilities at the edges of `random() < p`: the smallest subnormal,
+# one step of random(), both neighbours of the side test's 0.5, and the
+# largest random() value.
+THRESHOLD_PS = [5e-324, 2**-53, math.nextafter(0.5, 0), math.nextafter(0.5, 1),
+                1 - 2**-53]
+
+
+@pytest.mark.parametrize("p", [0.0, 0.15, 0.5, 0.99, 1.0] + THRESHOLD_PS)
 def test_agents_match_numpy_scalar_draws(p):
     # numpy's own calls, in the sampler's order: random() for the side,
     # random() for the collision, integers(0, 10) for the depth.
@@ -155,3 +162,24 @@ def test_rejected_draws_take_the_next_32_bits():
     assert sampler.sample(book)[:2] == (Side.BUY, book.bid - 2)
     assert sampler.sample(book)[:2] == (Side.SELL, book.ask + 7)
     assert next(words, None) is None
+
+
+@pytest.mark.parametrize("p", THRESHOLD_PS)
+def test_collision_threshold_is_exact_at_its_boundary(p):
+    # The sampler compares the collision word x with T = ceil(p * 2**53)
+    # << 11 instead of computing random() = (x >> 11) * 2**-53; feed the
+    # words on both sides of T. The side word 2**63 - 1 is the largest
+    # that buys (2**63 sells, see the rejection test), and a buy
+    # without a collision rests on its own side, below the ask.
+    book = _static_book()
+    threshold = math.ceil(p * 2**53) << 11
+    decisions = []
+    for x in (threshold - 1, threshold):
+        sampler = AgentSampler(p, seed=0)
+        sampler._next_word = iter([2**63 - 1, x, 858993460]).__next__  # depth 2
+        side, price, _ = sampler.sample(book)
+        assert side is Side.BUY
+        assert (price == book.ask) == ((x >> 11) * 2**-53 < p), x
+        decisions.append(price == book.ask)
+    assert decisions == [True, False]
+

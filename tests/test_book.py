@@ -11,6 +11,7 @@ from marketflow.book import (
     reconcile,
 )
 from marketflow.config import SimConfig
+from marketflow.engine import run
 from marketflow.physics import DegenerateBookError
 from reference import size_at
 
@@ -51,6 +52,10 @@ class TestInitBook:
             init_book(SimConfig(initial_spread=0))
         with pytest.raises(ValueError):
             init_book(SimConfig(initial_bid=0))
+        # one weight per tick of spread: the list is bounded with the spread
+        assert len(init_book(SimConfig(initial_spread=2**16)).weights) == 2**16 + 10
+        with pytest.raises(ValueError, match="initial_spread must be <= 65536"):
+            SimConfig(initial_spread=2**16 + 1)
 
 
 class TestPassiveOrders:
@@ -290,6 +295,25 @@ class TestLedger:
         assert "consume" in ops
         assert "regen" in ops
         assert "residual" in ops
+
+    @pytest.mark.parametrize("p", [0.99, 1.0])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_weight_list_sizes_match_the_reference(self, p, seed):
+        # Over a thousand full fills widen the spread a tick each, so the
+        # weight list grows past the kernel's reach; every level the book
+        # sized must still be the unmemoised kernel size at its quotes.
+        book = run(SimConfig(collision_probability=p, seed=seed, steps=2000)).final_book
+        sized = 0
+        bid, ask = 3681, 3682  # the default starting quotes
+        for op, side, price, amount in book.journal:
+            if op == "consume":
+                bid, ask = (bid - 1, ask) if side is Side.BUY else (bid, ask + 1)
+            if op in ("init", "regen"):
+                assert amount == size_at(price, bid, ask, 2000.0, 10.0), (op, price)
+                sized += 1
+        assert (bid, ask) == (book.bid, book.ask)
+        assert sized - 20 > 1000
+        assert len(book.weights) == book.ask - book.bid + 10
 
     def test_journal_records_passive_traffic(self):
         book = _book()

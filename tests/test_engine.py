@@ -341,3 +341,21 @@ class TestStepIsThePatchPoint:
         assert columns["bid"].tolist() == [out[3] for out in outcomes]
         assert columns["ask"].tolist() == [out[4] for out in outcomes]
         assert columns["volume"].tolist() == [out[0] for out in outcomes]
+
+
+def test_criterion_5_viscosity_is_twice_the_partial_fill_share():
+    # Criterion 5's red viscosity clause, measured: a partial fill trades
+    # without moving the mid, so its raw viscosity is infinite and smooths
+    # as the clamp 2.0, while the full fills' normalised viscosities are
+    # near 0. So the mean final smoothed viscosity over criterion 5's runs
+    # (0.388) tracks twice the share of partial fills in the final window
+    # (2 x 0.18). Passive ticks, the other infinite ones, are 0.5% there.
+    mus, shares = [], []
+    for seed in range(20):
+        bundle = run(SimConfig(collision_probability=0.99, steps=450, seed=seed))
+        window = bundle.config.smoothing_window
+        volume = bundle.columns["volume"][-window:]
+        v_t = bundle.columns["v_t"][-window:]
+        shares.append(np.mean((volume > 0.0) & (v_t == 0.0)))
+        mus.append(bundle.smoothed_mu[-1])
+    assert abs(np.mean(mus) - 2 * np.mean(shares)) <= 0.05, (np.mean(mus), np.mean(shares))
