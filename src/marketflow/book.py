@@ -6,8 +6,9 @@ rests in the book (passive) or trades against the best opposite level
 (active). Fills are capped at that single level: a full fill removes
 it, moves that quote one tick outward, appends one far-end level, and
 any residual agent size rests on the traded side's new best level.
-An agent is a (side, price, size) tuple, and `apply_order` returns a
-tuple of what it did.
+An agent is one (side, price, size) tuple; `apply_order` takes it whole,
+makes every mutation itself and returns a tuple of what it did. Kernel
+weights come from `WEIGHTS`, one list per h that every book shares.
 
 Level prices are derived from the quotes, so ten contiguous ticks per
 side, an uncrossed book and positive sizes hold by construction under
@@ -15,7 +16,7 @@ side, an uncrossed book and positive sizes hold by construction under
 replay of the journal rebuilds the final state bit for bit, finds the
 starting book uncrossed and every intermediate size positive, and checks
 that each consume takes the best level and each regen lands at the new
-far end. The one runtime check is the price floor in `consume_best`.
+far end. The one runtime check is the price floor of a full fill.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ class Side(Enum):
 # Enum descriptor lookup, a global is a dict hit.
 BUY, SELL = Side
 
+# float(h) -> [kernel_weight(r, h) for r = 0, 1, ...]. Keyed and computed
+# with a float h only: an int h above about 2**26.5 gives other bits, yet
+# compares equal to its float and so would share the float's list.
+WEIGHTS: dict[float, list[float]] = {}
+
 
 class OrderBook:
     """Two quotes and ten sizes per side, indexed by depth from the best.
@@ -45,20 +51,19 @@ class OrderBook:
     the level count hold by construction. Passive orders add to sizes,
     partial fills shrink them, and the journal records each of those
     float operations at its level's price. The book holds the run's
-    kernel (m, h) and its weights by tick offset, `weights[r] =
-    kernel_weight(r, h)` for r = 0 ... spread + 9. A level d ticks outside
-    its nearer quote is d + spread ticks from the other, so its size is
-    `m * (weights[d] + weights[d + spread])`: the bits of `size_at`,
-    since float addition commutes. The far level after a full fill and
-    the sampler's agents are sized that way.
+    kernel (m, h) and `weights`, the `WEIGHTS` list of its h, which holds
+    `kernel_weight(r, h)` for at least r = 0 ... spread + 9. A level d
+    ticks outside its nearer quote is d + spread ticks from the other, so
+    its size is `m * (weights[d] + weights[d + spread])`, the bits of
+    `size_at`: the far level after a full fill and each agent are sized so.
     """
 
     def __init__(self, bid: int, ask: int, m: float, h: float):
-        self.bid = bid
-        self.ask = ask
-        self.m = m
-        self.h = h
-        self.weights = [kernel_weight(r, h) for r in range(abs(ask - bid) + 10)]
+        h = float(h)
+        self.bid, self.ask, self.m, self.h = bid, ask, m, h
+        self.weights = weights = WEIGHTS.setdefault(h, [])
+        weights.extend(kernel_weight(r, h)
+                       for r in range(len(weights), abs(ask - bid) + 10))
         self.buy_sizes = [self.size_at(bid - i) for i in range(10)]
         self.sell_sizes = [self.size_at(ask + i) for i in range(10)]
         self.journal: list[tuple[str, Side, int, float]] = (
@@ -72,37 +77,6 @@ class OrderBook:
         is read from `weights` at the offset's magnitude."""
         weights = self.weights
         return self.m * (weights[abs(price - self.bid)] + weights[abs(price - self.ask)])
-
-    # --- journaled mutations -------------------------------------------
-
-    def consume_best(self, side: Side) -> float:
-        """Remove the best level, move the quote one tick outward and
-        append a far level sized at the new quotes; returns the removed
-        size. Raises `DegenerateBookError`, with the book untouched, when
-        the far level would sit below price 1: the only path that lowers
-        a price. The error names both quotes and both best sizes."""
-        if side is BUY:
-            sizes, best, far = self.buy_sizes, self.bid, self.bid - 10
-        else:
-            sizes, best, far = self.sell_sizes, self.ask, self.ask + 10
-        if far < 1:
-            raise DegenerateBookError(
-                f"price floor: a full fill at bid {self.bid} (ask {self.ask}) "
-                f"with best sizes {self.buy_sizes[0]!r} (buy) and "
-                f"{self.sell_sizes[0]!r} (sell) would put a buy level at price {far}")
-        if side is BUY:
-            self.bid -= 1
-        else:
-            self.ask += 1
-        size = sizes.pop(0)
-        weights = self.weights
-        weights.append(kernel_weight(len(weights), self.h))
-        far_size = self.m * (weights[9] + weights[-1])  # nine ticks out
-        sizes.append(far_size)
-        self.journal += (("consume", side, best, size), ("regen", side, far, far_size))
-        return size
-
-    # --- invariants -----------------------------------------------------
 
     def check(self) -> None:
         """Ten positive sizes per side and an uncrossed book; the first
@@ -134,20 +108,22 @@ def init_book(config: SimConfig) -> OrderBook:
                      config.m, config.h)
 
 
-def apply_order(book: OrderBook, own: Side, price: int,
-                size: float) -> tuple[float, float, float, int, int]:
-    """Apply one agent (side `own`, integer price, positive size) and
-    return `(volume, obstacle_notional, order_notional, bid, ask)`: the
-    traded volume (0.0 when it rested), the pre-trade notionals of the
-    obstacle (the best opposite level) and of the agent, and the quotes
-    after the trade. Only `engine._readout` derives v_T, l and the
-    collision flag from these.
+def apply_order(book: OrderBook,
+                agent: tuple[Side, int, float]) -> tuple[float, float, float, int, int]:
+    """Apply one agent `(own, price, size)` and return `(volume,
+    obstacle_notional, order_notional, bid, ask)`: the traded volume (0.0
+    when it rested), the pre-trade notionals of the obstacle (the best
+    opposite level) and of the agent, and the quotes after the trade.
+    Only `engine._readout` derives v_T, l and a collision from these.
 
     Active means the agent's price is the opposite best quote; anything
-    else rests passively on the agent's own side. A buy residual from a
-    full fill rests on the sell side's new best level, a sell residual
-    on the buy side's new best.
+    else rests passively on the agent's own side. An agent at least as
+    large as the obstacle fills it fully: unless that hits the price floor
+    (`DegenerateBookError`, book untouched), the quote moves a tick out,
+    the obstacle's size leaves, a far level joins, `consume` and `regen`
+    are journaled, and a residual rests on that side's new best.
     """
+    own, price, size = agent
     bid, ask = book.bid, book.ask
     if own is BUY:
         opp, opposite_best, depth = SELL, ask, bid - price
@@ -168,19 +144,36 @@ def apply_order(book: OrderBook, own: Side, price: int,
         book.journal.append(("passive", own, price, size))
         return 0.0, obstacle_notional, order_notional, bid, ask
 
-    if size >= obstacle_size:
-        volume = book.consume_best(opp)
-        bid, ask = book.bid, book.ask
-        residual = size - volume
+    if size >= obstacle_size:  # a full fill
+        far = bid - 10 if opp is BUY else ask + 10
+        if far < 1:  # the only path that lowers a price
+            raise DegenerateBookError(
+                f"price floor: a full fill at bid {bid} (ask {ask}) "
+                f"with best sizes {book.buy_sizes[0]!r} (buy) and "
+                f"{book.sell_sizes[0]!r} (sell) would put a buy level at price {far}")
+        if opp is BUY:
+            bid = book.bid = bid - 1
+        else:
+            ask = book.ask = ask + 1
+        opp_sizes.pop(0)
+        weights = book.weights
+        r = ask - bid + 9  # the far level's offset from the other quote
+        if r == len(weights):
+            weights.append(kernel_weight(r, book.h))
+        far_size = book.m * (weights[9] + weights[r])
+        opp_sizes.append(far_size)
+        journal = book.journal
+        journal += (("consume", opp, opposite_best, obstacle_size),
+                    ("regen", opp, far, far_size))
+        residual = size - obstacle_size
         if residual > 0.0:
             opp_sizes[0] += residual
-            book.journal.append(("residual", opp, ask if opp is SELL else bid, residual))
-    else:
-        volume = size
-        opp_sizes[0] -= size
-        book.journal.append(("trade", opp, opposite_best, size))
+            journal.append(("residual", opp, ask if opp is SELL else bid, residual))
+        return obstacle_size, obstacle_notional, order_notional, bid, ask
 
-    return volume, obstacle_notional, order_notional, bid, ask
+    opp_sizes[0] -= size
+    book.journal.append(("trade", opp, opposite_best, size))
+    return size, obstacle_notional, order_notional, bid, ask
 
 
 def reconcile(book: OrderBook) -> bool:

@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 from collections import Counter
+from operator import itemgetter
 
 from .config import CONFIG_FIELDS, SimConfig
 from .engine import run
@@ -82,7 +83,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
           f"final smoothed viscosity {bundle.smoothed_mu[-1]:.6f}, "
           f"final smoothed Reynolds {bundle.smoothed_reynolds[-1]:.6f}")
     # The journal's tags count the events, after the run: no tick cost.
-    tags = Counter(entry[0] for entry in bundle.final_book.journal)
+    tags = Counter(map(itemgetter(0), book.journal))
     print(f"simulate: events {tags['passive']} passive, {tags['trade']} partial, "
           f"{tags['consume']} full, {tags['residual']} residual")
     for path in written:

@@ -29,13 +29,19 @@ class SimConfig:
     def __post_init__(self) -> None:
         # Exactly int: a float would be truncated by the %d writers and
         # echo a header that does not parse back; a bool is no count. A
-        # float field takes an int or a float, whose repr parses back.
+        # float field takes an int or a float and stores a float, which the
+        # header echoes as a rerun parses it (an int h gives other weights).
         for name, kind in CONFIG_FIELDS.items():
             value = getattr(self, name)
             if kind is int and type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if type(value) not in (int, float):
                 raise ValueError(f"{name} must be a number, got {value!r}")
+            if kind is float:
+                try:
+                    object.__setattr__(self, name, float(value))
+                except OverflowError:
+                    raise ValueError(f"{name} is too large for a float") from None
         # Ten buy levels from the bid down, all at prices >= 1.
         if self.initial_bid < 10:
             raise ValueError("initial_bid must be >= 10")

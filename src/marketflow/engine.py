@@ -50,11 +50,11 @@ class SeriesBundle:
 
 
 def step(book: OrderBook, sampler: AgentSampler, t: int) -> tuple:
-    """Sample one agent, apply it and return `apply_order`'s outcome: the
-    one per-tick call of a run. A `DegenerateBookError` is re-raised
-    with a `tick N: ` prefix."""
+    """Sample one agent, pass its tuple to `apply_order` as it is, and
+    return the outcome: the one per-tick call of a run. A
+    `DegenerateBookError` is re-raised with a `tick N: ` prefix."""
     try:
-        return apply_order(book, *sampler.sample(book))
+        return apply_order(book, sampler.sample(book))
     except DegenerateBookError as exc:
         raise DegenerateBookError(f"tick {t}: {exc}") from exc
 

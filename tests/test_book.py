@@ -2,6 +2,7 @@
 
 import pytest
 
+from marketflow import book as book_module
 from marketflow.agents import AgentSampler
 from marketflow.book import (
     OrderBook,
@@ -12,12 +13,20 @@ from marketflow.book import (
 )
 from marketflow.config import SimConfig
 from marketflow.engine import run
-from marketflow.physics import DegenerateBookError
+from marketflow.physics import DegenerateBookError, kernel_weight
 from reference import size_at
 
 
 def _book(**kwargs):
     return init_book(SimConfig(**kwargs))
+
+
+def _assert_weights_cover(book):
+    # the shared table may run longer than this book needs, never shorter,
+    # and every entry is the kernel weight at a float h
+    weights = book.weights
+    assert len(weights) >= book.ask - book.bid + 10
+    assert weights == [kernel_weight(r, float(book.h)) for r in range(len(weights))]
 
 
 class TestInitBook:
@@ -53,7 +62,7 @@ class TestInitBook:
         with pytest.raises(ValueError):
             init_book(SimConfig(initial_bid=0))
         # one weight per tick of spread: the list is bounded with the spread
-        assert len(init_book(SimConfig(initial_spread=2**16)).weights) == 2**16 + 10
+        _assert_weights_cover(init_book(SimConfig(initial_spread=2**16)))
         with pytest.raises(ValueError, match="initial_spread must be <= 65536"):
             SimConfig(initial_spread=2**16 + 1)
 
@@ -62,30 +71,30 @@ class TestPassiveOrders:
     def test_buy_limit_joins_its_level(self):
         book = _book()
         before = book.buy_sizes[book.bid - 3678]
-        volume, _, _, bid, ask = apply_order(book, Side.BUY, 3678, 0.25)
+        volume, _, _, bid, ask = apply_order(book, (Side.BUY, 3678, 0.25))
         assert book.buy_sizes[book.bid - 3678] == before + 0.25
         assert volume == 0.0
         assert (bid, ask) == (3681, 3682)
 
     def test_quotes_unchanged(self):
         book = _book()
-        apply_order(book, Side.SELL, 3690, 0.5)
+        apply_order(book, (Side.SELL, 3690, 0.5))
         assert (book.bid, book.ask) == (3681, 3682)
 
     def test_inadmissible_price_rejected(self):
         book = _book()
         # a seller-side price is not in the buyer's space
         with pytest.raises(ValueError):
-            apply_order(book, Side.BUY, 3683, 0.1)
+            apply_order(book, (Side.BUY, 3683, 0.1))
         with pytest.raises(ValueError):
-            apply_order(book, Side.BUY, 3600, 0.1)
+            apply_order(book, (Side.BUY, 3600, 0.1))
 
 
 class TestActiveOrders:
     def test_exact_full_fill_moves_ask_up_one_tick(self):
         book = _book()
         ask_size = book.sell_sizes[3682 - book.ask]
-        volume, _, _, bid, ask = apply_order(book, Side.BUY, 3682, ask_size)
+        volume, _, _, bid, ask = apply_order(book, (Side.BUY, 3682, ask_size))
         assert volume == ask_size
         assert (bid, ask) == (book.bid, book.ask) == (3681, 3683)
         assert book.ask - book.bid == 2
@@ -93,13 +102,13 @@ class TestActiveOrders:
     def test_sell_full_fill_moves_bid_down(self):
         book = _book()
         bid_size = book.buy_sizes[book.bid - 3681]
-        _, _, _, bid, ask = apply_order(book, Side.SELL, 3681, bid_size + 1e-9)
+        _, _, _, bid, ask = apply_order(book, (Side.SELL, 3681, bid_size + 1e-9))
         assert (bid, ask) == (book.bid, book.ask) == (3680, 3682)
 
     def test_full_fill_regenerates_the_far_end(self):
         book = _book()
         ask_size = book.sell_sizes[3682 - book.ask]
-        apply_order(book, Side.BUY, 3682, ask_size)
+        apply_order(book, (Side.BUY, 3682, ask_size))
         assert len(book.sell_sizes) == 10
         assert book.ask + len(book.sell_sizes) - 1 == 3692
         # sized against the post-removal anchors
@@ -111,7 +120,7 @@ class TestActiveOrders:
         ask_size = book.sell_sizes[3682 - book.ask]
         next_before = book.sell_sizes[3683 - book.ask]
         agent_size = ask_size + 0.375
-        apply_order(book, Side.BUY, 3682, agent_size)
+        apply_order(book, (Side.BUY, 3682, agent_size))
         assert book.ask == 3683
         # the posted residual is agent size minus the consumed volume
         assert book.sell_sizes[3683 - book.ask] == \
@@ -120,7 +129,7 @@ class TestActiveOrders:
     def test_partial_fill_shrinks_the_level_in_place(self):
         book = _book()
         bid_size = book.buy_sizes[book.bid - 3681]
-        volume, _, _, bid, ask = apply_order(book, Side.SELL, 3681, bid_size / 2)
+        volume, _, _, bid, ask = apply_order(book, (Side.SELL, 3681, bid_size / 2))
         assert volume == bid_size / 2
         assert (bid, ask) == (book.bid, book.ask) == (3681, 3682)
         assert book.buy_sizes[book.bid - 3681] == bid_size - bid_size / 2
@@ -129,7 +138,7 @@ class TestActiveOrders:
         book = _book()
         ask_size = book.sell_sizes[3682 - book.ask]
         volume, obstacle_notional, order_notional, _, _ = \
-            apply_order(book, Side.BUY, 3682, 0.125)
+            apply_order(book, (Side.BUY, 3682, 0.125))
         assert obstacle_notional == ask_size * 3682
         assert order_notional == 0.125 * 3682
         assert volume == 0.125
@@ -138,7 +147,7 @@ class TestActiveOrders:
         results = []
         for _ in range(2):
             book = _book()
-            out = apply_order(book, Side.BUY, 3682, 0.3)
+            out = apply_order(book, (Side.BUY, 3682, 0.3))
             results.append((out, book.ask, list(book.sell_sizes)))
         assert results[0] == results[1]
 
@@ -147,7 +156,7 @@ class TestRegeneration:
     def test_buy_side_extends_downward(self):
         book = _book()
         bid_size = book.buy_sizes[book.bid - 3681]
-        apply_order(book, Side.SELL, 3681, bid_size)
+        apply_order(book, (Side.SELL, 3681, bid_size))
         assert book.bid - (len(book.buy_sizes) - 1) == 3671
         assert book.buy_sizes[book.bid - 3671] == \
             size_at(3671, 3680, 3682, 2000.0, 10.0)
@@ -156,7 +165,7 @@ class TestRegeneration:
 class TestCheck:
     def test_non_positive_size_is_a_typed_error(self):
         book = _book()
-        apply_order(book, Side.BUY, 3678, -1e6)
+        apply_order(book, (Side.BUY, 3678, -1e6))
         with pytest.raises(DegenerateBookError, match="buy level 3678"):
             book.check()
 
@@ -194,7 +203,7 @@ class TestSpreadDirection:
         sampler = AgentSampler(0.7, seed=5)
         spread = book.ask - book.bid
         for _ in range(400):
-            apply_order(book, *sampler.sample(book))
+            apply_order(book, sampler.sample(book))
             book.check()
             assert book.ask - book.bid >= spread
             spread = book.ask - book.bid
@@ -207,7 +216,7 @@ class TestLedger:
             book = init_book(config)
             sampler = AgentSampler(0.5, seed=seed)
             for _ in range(300):
-                apply_order(book, *sampler.sample(book))
+                apply_order(book, sampler.sample(book))
             assert reconcile(book)
 
     def test_size_changed_without_an_entry_fails(self):
@@ -219,9 +228,9 @@ class TestLedger:
         "op", ["init", "passive", "trade", "consume", "regen", "residual"])
     def test_altered_journal_amount_fails(self, op):
         book = _book()
-        apply_order(book, Side.BUY, 3680, 0.4)
-        apply_order(book, Side.SELL, 3681, 0.1)
-        apply_order(book, Side.BUY, 3682, book.sell_sizes[0] + 0.1)
+        apply_order(book, (Side.BUY, 3680, 0.4))
+        apply_order(book, (Side.SELL, 3681, 0.1))
+        apply_order(book, (Side.BUY, 3682, book.sell_sizes[0] + 0.1))
         assert reconcile(book) is True
         i = next(i for i, entry in enumerate(book.journal) if entry[0] == op)
         tag, side, price, amount = book.journal[i]
@@ -256,7 +265,7 @@ class TestLedger:
         # the regenerated levels and the final sizes still line up
         book = _book()
         for _ in range(2):
-            apply_order(book, Side.BUY, book.ask, book.sell_sizes[0])
+            apply_order(book, (Side.BUY, book.ask, book.sell_sizes[0]))
         assert reconcile(book) is True
         first, second = (i for i, entry in enumerate(book.journal)
                          if entry[0] == "consume")
@@ -287,8 +296,8 @@ class TestLedger:
     def test_journal_tags_cover_every_mutation(self):
         book = _book()
         ask_size = book.sell_sizes[3682 - book.ask]
-        apply_order(book, Side.BUY, 3678, 0.2)
-        apply_order(book, Side.BUY, 3682, ask_size + 0.1)
+        apply_order(book, (Side.BUY, 3678, 0.2))
+        apply_order(book, (Side.BUY, 3682, ask_size + 0.1))
         ops = [entry[0] for entry in book.journal]
         assert ops.count("init") == 20
         assert "passive" in ops
@@ -313,10 +322,40 @@ class TestLedger:
                 sized += 1
         assert (bid, ask) == (book.bid, book.ask)
         assert sized - 20 > 1000
-        assert len(book.weights) == book.ask - book.bid + 10
+        _assert_weights_cover(book)
+
+    def test_shared_weight_table_gives_what_an_empty_one_gives(self, monkeypatch):
+        # Books share one weight list per h, kept across runs. Every run
+        # must match the same run on an empty table, also after a run at
+        # an int h that equals a float h and, for h above 2**26.5, would
+        # give other kernel weights than it.
+        def traffic(h):
+            book = OrderBook(3681, 3682, 2000.0, h)
+            sampler = AgentSampler(0.99, seed=3)
+            outcomes = [apply_order(book, sampler.sample(book)) for _ in range(450)]
+            return repr(outcomes), repr(book.journal)
+
+        def bundle(h):
+            result = run(SimConfig(h=h, steps=450, seed=3))
+            return ([column.tobytes() for column in result.columns.values()],
+                    repr(result.final_book.journal))
+
+        hs = (10.0, 7.0, 2**27 + 1, 2.0**27 + 1, 10.0)
+        fresh = []
+        for h in hs:
+            monkeypatch.setattr(book_module, "WEIGHTS", {})
+            fresh.append((traffic(h), bundle(h)))
+        monkeypatch.setattr(book_module, "WEIGHTS", {})
+        for h, want in zip(hs, fresh):
+            assert (traffic(h), bundle(h)) == want, h
+        # one list per h, keyed by a float; the int h runs on the float's
+        # weights, which differ from the int's own
+        assert [type(h) for h in book_module.WEIGHTS] == [float] * 3
+        assert kernel_weight(9, 2**27 + 1) != kernel_weight(9, 2.0**27 + 1)
+        assert fresh[2] == fresh[3]
 
     def test_journal_records_passive_traffic(self):
         book = _book()
-        apply_order(book, Side.BUY, 3680, 0.4)
+        apply_order(book, (Side.BUY, 3680, 0.4))
         assert book.journal[-1] == ("passive", Side.BUY, 3680, 0.4)
         assert reconcile(book) is True

@@ -228,9 +228,9 @@ class BookMachine(RuleBasedStateMachine):
         except DegenerateBookError:
             event("price floor")
             with pytest.raises(DegenerateBookError, match="price floor"):
-                apply_order(self.book, side, price, size)
+                apply_order(self.book, (side, price, size))
             return  # `compare` finds both books unchanged
-        assert apply_order(self.book, side, price, size) == (*want, model.bid, model.ask)
+        assert apply_order(self.book, (side, price, size)) == (*want, model.bid, model.ask)
         assert self.book.journal[before:] == model.journal[before:]
 
     @rule(data=st.data())

@@ -225,6 +225,14 @@ class TestRun:
         with pytest.raises(ValueError, match=f"^{name} must be a number"):
             SimConfig(**{name: value})
 
+    def test_stores_a_float_field_as_a_float(self):
+        config = SimConfig(m=2000, h=10, collision_probability=1, viscosity_clamp=2)
+        assert config == SimConfig(collision_probability=1.0)
+        assert all(type(getattr(config, name)) is float
+                   for name in ("m", "h", "collision_probability", "viscosity_clamp"))
+        with pytest.raises(ValueError, match="^m is too large for a float"):
+            SimConfig(m=10**400)
+
     def test_degenerate_book_error_names_the_tick(self):
         # a bid of 10 reaches the price floor at tick 0 for seed 0
         with pytest.raises(DegenerateBookError,
@@ -261,7 +269,7 @@ def _scalar_ticks(config):
         side, price, size = sampler.sample(book)
         collided = price == (ask if side is Side.BUY else bid)
         volume, obstacle_notional, order_notional, _, _ = \
-            apply_order(book, side, price, size)
+            apply_order(book, (side, price, size))
         # the readout's rule: a tick collided exactly when it traded volume
         assert (volume > 0.0) == collided
         mid = (book.bid + book.ask) / 2.0

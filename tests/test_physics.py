@@ -161,14 +161,14 @@ class TestCollisionRatio:
         # a buy level at price 0 raises and leaves the book untouched
         book = init_book(SimConfig(initial_bid=11))
         _, obstacle_notional, order_notional, _, _ = \
-            apply_order(book, Side.SELL, 11, book.buy_sizes[0])
+            apply_order(book, (Side.SELL, 11, book.buy_sizes[0]))
         assert book.bid - (len(book.buy_sizes) - 1) == 1
         assert collision_ratio(order_notional, obstacle_notional, True) > 0.0
         state = (book.bid, book.ask, list(book.buy_sizes),
                  list(book.sell_sizes), list(book.journal))
         with pytest.raises(DegenerateBookError,
                            match=r"^price floor: .* bid 10 \(ask 12\) .* price 0$") as caught:
-            apply_order(book, Side.SELL, 10, book.buy_sizes[0])
+            apply_order(book, (Side.SELL, 10, book.buy_sizes[0]))
         assert (f" with best sizes {book.buy_sizes[0]!r} (buy) and "
                 f"{book.sell_sizes[0]!r} (sell) " in str(caught.value))
         assert state == (book.bid, book.ask, list(book.buy_sizes),
