@@ -7,8 +7,8 @@ rests in the book (passive) or trades against the best opposite level
 it, moves that quote one tick outward, appends one far-end level, and
 any residual agent size rests on the traded side's new best level.
 An agent is one (side, price, size) tuple; `apply_order` takes it whole,
-makes every mutation itself and returns a tuple of what it did. Kernel
-weights come from `WEIGHTS`, one list per h that every book shares.
+makes every mutation itself, a full fill included, and returns a tuple
+of what it did.
 
 Level prices are derived from the quotes, so ten contiguous ticks per
 side, an uncrossed book and positive sizes hold by construction under
@@ -16,7 +16,8 @@ side, an uncrossed book and positive sizes hold by construction under
 replay of the journal rebuilds the final state bit for bit, finds the
 starting book uncrossed and every intermediate size positive, and checks
 that each consume takes the best level and each regen lands at the new
-far end. The one runtime check is the price floor of a full fill.
+far end. The one check on the tick path is the price floor of a full
+fill.
 """
 
 from __future__ import annotations
@@ -37,11 +38,6 @@ class Side(Enum):
 # Enum descriptor lookup, a global is a dict hit.
 BUY, SELL = Side
 
-# float(h) -> [kernel_weight(r, h) for r = 0, 1, ...]. Keyed and computed
-# with a float h only: an int h above about 2**26.5 gives other bits, yet
-# compares equal to its float and so would share the float's list.
-WEIGHTS: dict[float, list[float]] = {}
-
 
 class OrderBook:
     """Two quotes and ten sizes per side, indexed by depth from the best.
@@ -51,19 +47,21 @@ class OrderBook:
     the level count hold by construction. Passive orders add to sizes,
     partial fills shrink them, and the journal records each of those
     float operations at its level's price. The book holds the run's
-    kernel (m, h) and `weights`, the `WEIGHTS` list of its h, which holds
-    `kernel_weight(r, h)` for at least r = 0 ... spread + 9. A level d
-    ticks outside its nearer quote is d + spread ticks from the other, so
-    its size is `m * (weights[d] + weights[d + spread])`, the bits of
-    `size_at`: the far level after a full fill and each agent are sized so.
+    kernel (m, h) and its weights by tick offset, `weights[r] =
+    kernel_weight(r, h)` for r = 0 ... spread + 9; a full fill widens the
+    spread by one and appends one weight. A level d ticks outside its
+    nearer quote is d + spread ticks from the other, so its size is
+    `m * (weights[d] + weights[d + spread])`: the bits of `size_at`,
+    since float addition commutes. The far level after a full fill and
+    the sampler's agents are sized that way. A crossed book (bid >= ask)
+    is a `DegenerateBookError`.
     """
 
     def __init__(self, bid: int, ask: int, m: float, h: float):
-        h = float(h)
+        if bid >= ask:
+            raise DegenerateBookError(f"book is crossed: bid {bid} >= ask {ask}")
         self.bid, self.ask, self.m, self.h = bid, ask, m, h
-        self.weights = weights = WEIGHTS.setdefault(h, [])
-        weights.extend(kernel_weight(r, h)
-                       for r in range(len(weights), abs(ask - bid) + 10))
+        self.weights = [kernel_weight(r, h) for r in range(ask - bid + 10)]
         self.buy_sizes = [self.size_at(bid - i) for i in range(10)]
         self.sell_sizes = [self.size_at(ask + i) for i in range(10)]
         self.journal: list[tuple[str, Side, int, float]] = (
@@ -157,10 +155,8 @@ def apply_order(book: OrderBook,
             ask = book.ask = ask + 1
         opp_sizes.pop(0)
         weights = book.weights
-        r = ask - bid + 9  # the far level's offset from the other quote
-        if r == len(weights):
-            weights.append(kernel_weight(r, book.h))
-        far_size = book.m * (weights[9] + weights[r])
+        weights.append(kernel_weight(len(weights), book.h))
+        far_size = book.m * (weights[9] + weights[-1])  # nine ticks out
         opp_sizes.append(far_size)
         journal = book.journal
         journal += (("consume", opp, opposite_best, obstacle_size),

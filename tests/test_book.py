@@ -1,8 +1,12 @@
 """Unit tests for book construction, matching, and the volume ledger."""
 
+import gc
+import os
+import tracemalloc
+
 import pytest
 
-from marketflow import book as book_module
+import marketflow
 from marketflow.agents import AgentSampler
 from marketflow.book import (
     OrderBook,
@@ -21,12 +25,11 @@ def _book(**kwargs):
     return init_book(SimConfig(**kwargs))
 
 
-def _assert_weights_cover(book):
-    # the shared table may run longer than this book needs, never shorter,
-    # and every entry is the kernel weight at a float h
-    weights = book.weights
-    assert len(weights) >= book.ask - book.bid + 10
-    assert weights == [kernel_weight(r, float(book.h)) for r in range(len(weights))]
+def _assert_weights_exact(book):
+    # one weight per tick of spread, plus nine: the list is bounded with
+    # the spread, and entry r is the kernel weight r ticks out
+    assert book.weights == [kernel_weight(r, book.h)
+                            for r in range(book.ask - book.bid + 10)]
 
 
 class TestInitBook:
@@ -62,7 +65,7 @@ class TestInitBook:
         with pytest.raises(ValueError):
             init_book(SimConfig(initial_bid=0))
         # one weight per tick of spread: the list is bounded with the spread
-        _assert_weights_cover(init_book(SimConfig(initial_spread=2**16)))
+        _assert_weights_exact(init_book(SimConfig(initial_spread=2**16)))
         with pytest.raises(ValueError, match="initial_spread must be <= 65536"):
             SimConfig(initial_spread=2**16 + 1)
 
@@ -283,9 +286,16 @@ class TestLedger:
 
     @pytest.mark.parametrize("bid,ask", [(3682, 3682), (3690, 3682)])
     def test_crossed_starting_book_fails(self, bid, ask):
-        # SimConfig rejects such a book; one built by hand journals its
-        # init entries all the same, and the replay must refuse them
-        book = OrderBook(bid, ask, 2000.0, 10.0)
+        # SimConfig and OrderBook reject such a book; a journal edited to
+        # start crossed, with the live book set to match it, must fail
+        with pytest.raises(DegenerateBookError,
+                           match=f"^book is crossed: bid {bid} >= ask {ask}$"):
+            OrderBook(bid, ask, 2000.0, 10.0)
+        book = _book()
+        book.bid, book.ask = bid, ask
+        book.journal = (
+            [("init", Side.BUY, bid - i, s) for i, s in enumerate(book.buy_sizes)]
+            + [("init", Side.SELL, ask + i, s) for i, s in enumerate(book.sell_sizes)])
         assert reconcile(book) is False
 
     def test_unknown_tag_fails(self):
@@ -322,37 +332,24 @@ class TestLedger:
                 sized += 1
         assert (bid, ask) == (book.bid, book.ask)
         assert sized - 20 > 1000
-        _assert_weights_cover(book)
+        _assert_weights_exact(book)
 
-    def test_shared_weight_table_gives_what_an_empty_one_gives(self, monkeypatch):
-        # Books share one weight list per h, kept across runs. Every run
-        # must match the same run on an empty table, also after a run at
-        # an int h that equals a float h and, for h above 2**26.5, would
-        # give other kernel weights than it.
-        def traffic(h):
-            book = OrderBook(3681, 3682, 2000.0, h)
-            sampler = AgentSampler(0.99, seed=3)
-            outcomes = [apply_order(book, sampler.sample(book)) for _ in range(450)]
-            return repr(outcomes), repr(book.journal)
-
-        def bundle(h):
-            result = run(SimConfig(h=h, steps=450, seed=3))
-            return ([column.tobytes() for column in result.columns.values()],
-                    repr(result.final_book.journal))
-
-        hs = (10.0, 7.0, 2**27 + 1, 2.0**27 + 1, 10.0)
-        fresh = []
-        for h in hs:
-            monkeypatch.setattr(book_module, "WEIGHTS", {})
-            fresh.append((traffic(h), bundle(h)))
-        monkeypatch.setattr(book_module, "WEIGHTS", {})
-        for h, want in zip(hs, fresh):
-            assert (traffic(h), bundle(h)) == want, h
-        # one list per h, keyed by a float; the int h runs on the float's
-        # weights, which differ from the int's own
-        assert [type(h) for h in book_module.WEIGHTS] == [float] * 3
-        assert kernel_weight(9, 2**27 + 1) != kernel_weight(9, 2.0**27 + 1)
-        assert fresh[2] == fresh[3]
+    def test_runs_hold_no_weights_afterwards(self):
+        # Each book owns its weight list, so no run's weights outlive it:
+        # after long high-collision runs at several h, which widen the
+        # spread by a tick per full fill, marketflow holds almost nothing.
+        run(SimConfig(collision_probability=0.99, steps=50))  # first-call state
+        package = os.path.join(os.path.dirname(marketflow.__file__), "*")
+        tracemalloc.start()
+        try:
+            for h in (8.0, 9.0, 10.0, 11.0, 12.0):
+                run(SimConfig(h=h, collision_probability=0.99, steps=2000))
+            gc.collect()
+            held = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, package)])
+        finally:
+            tracemalloc.stop()
+        assert sum(stat.size for stat in held.statistics("filename")) < 64 * 1024
 
     def test_journal_records_passive_traffic(self):
         book = _book()
