@@ -39,6 +39,9 @@ LAMINAR_BELOW = 2300.0
 TURBULENT_ABOVE = 2900.0
 
 
+_PI_THREE_HALVES = math.pi ** 1.5
+
+
 def kernel_weight(r: float, h: float) -> float:
     """Gaussian smoothing weight exp(-r^2/h^2) / (h^3 * pi^(3/2)).
 
@@ -48,7 +51,7 @@ def kernel_weight(r: float, h: float) -> float:
     """
     if h <= 0:
         raise ValueError("h must be > 0")
-    return math.exp(-(r * r) / (h * h)) / (h * h * h * math.pi ** 1.5)
+    return math.exp(-(r * r) / (h * h)) / (h * h * h * _PI_THREE_HALVES)
 
 
 def viscosity(volume, v_t, obstacle_notional, order_notional) -> np.ndarray:

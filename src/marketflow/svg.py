@@ -7,9 +7,7 @@ step of the scalar formula and in Python's operation order; numpy's
 elementwise float64 arithmetic rounds like Python's, so every
 coordinate is the double the scalar formula gives.
 Coordinates are formatted by `numfmt.formatted`, whose bytes are those
-of `%.2f` applied to each point on its own, and the tick axis once per
-panel column: a tick's x depends only on the tick range and the
-column, so every series panel in a column shares it.
+of `%.2f` applied to each point on its own.
 The CSV files stay canonical; these figures are a quick visual check.
 """
 
@@ -65,20 +63,15 @@ def _scale_y(ys, y_range, y0):
     return (y0 + PANEL_H - PAD_B) - (ys - lo_y) / (hi_y - lo_y) * inner_h
 
 
-def _tick_text(ts, t_range, x0):
-    """Each tick's x in a panel at x0 as `%.2f,` rows of `numfmt.formatted`;
+def _polyline(ts, ys, t_range, y_range, x0, y0, color):
+    """The ticks with a finite y as one polyline in a panel at (x0, y0);
     ticks are integers, so every x is finite."""
-    return formatted(_scale_x(ts, t_range, x0), "%.2f,")
-
-
-def _polyline(x_text, ys, y_range, y0, color):
-    """The ticks with a finite y as one polyline in a panel at y0;
-    x_text is `_tick_text` of the panel's column."""
     keep = np.isfinite(ys)
     if not keep.any():
         return ""
     points = joined(np.concatenate(
-        (x_text[keep], formatted(_scale_y(ys[keep], y_range, y0), "%.2f ")), axis=1))
+        (formatted(_scale_x(ts[keep], t_range, x0), "%.2f,"),
+         formatted(_scale_y(ys[keep], y_range, y0), "%.2f ")), axis=1))
     return (f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
             f'points="{points[:-1].decode()}"/>')
 
@@ -120,14 +113,28 @@ def _depth_panel(bundle, x0, y0):
     return "".join(parts)
 
 
-def _series_panel(caption, x_text, ys, x0, y0, color):
-    ys = np.asarray(ys, dtype=float)
-    y_range = _axis_range(ys)
+def _series_panel(ts, t_range, caption, x0, y0, *lines):
+    """A panel at (x0, y0) with one polyline per (ys, color), each drawn on
+    its own `_axis_range`. The labels give `_axis_range` of all the
+    lines together, which for one line is that line's own range.
+
+    For the two quotes of panel (d) the drawn and labelled ranges differ
+    (see the panel (d) FOUND in CHANGES.md): drawing every line on the
+    labelled range would fix it, and change the pinned bytes.
+    """
+    lines = [(np.asarray(ys, dtype=float), color) for ys, color in lines]
     return "".join((
         _panel_frame(x0, y0, caption),
-        _polyline(x_text, ys, y_range, y0, color),
-        _range_labels(x0, y0, y_range),
+        *[_polyline(ts, ys, t_range, _axis_range(ys), x0, y0, color)
+          for ys, color in lines],
+        _range_labels(x0, y0, _axis_range(np.concatenate([ys for ys, _ in lines]))),
     ))
+
+
+def _svg_head(width, height):
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+            f'height="{height}" viewBox="0 0 {width} {height}">'
+            f'<rect width="{width}" height="{height}" fill="#fafafa"/>')
 
 
 def series_figure(bundle: SeriesBundle) -> str:
@@ -135,39 +142,27 @@ def series_figure(bundle: SeriesBundle) -> str:
     returns, smoothed Reynolds number."""
     width = 2 * PANEL_W
     height = 3 * PANEL_H
-    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">'
-            f'<rect width="{width}" height="{height}" fill="#fafafa"/>')
+    head = _svg_head(width, height)
     if not len(bundle.columns["t"]):
         return (head +
                 f'<text x="{width / 2}" y="{height / 2}" font-size="16" '
                 f'font-family="sans-serif" text-anchor="middle" fill="#666">'
                 f'no data</text></svg>')
-    ts, bids, asks, mids, rets = (
-        np.asarray(bundle.columns[name], dtype=float)
-        for name in ("t", "bid", "ask", "mid", "ret"))
+    columns = bundle.columns
+    ts = np.asarray(columns["t"], dtype=float)
     t_range = _axis_range(ts)  # the x axis of every series panel
-    # The panels are drawn one column at a time, so only one column's
-    # tick text is held at once.
-    x_text = _tick_text(ts, t_range, 0)
-    viscosity = _series_panel("(c) smoothed viscosity", x_text, bundle.smoothed_mu,
-                              0, PANEL_H, "#7048b0")
-    returns = _series_panel("(e) returns", x_text, rets, 0, 2 * PANEL_H, "#48790f")
-    del x_text
-    x_text = _tick_text(ts, t_range, PANEL_W)
-    mid = _series_panel("(b) mid price", x_text, mids, PANEL_W, 0, "#333333")
-    # each quote is drawn on its own range; the labels give the joint one
-    bid_ask = "".join((
-        _panel_frame(PANEL_W, PANEL_H, "(d) bid / ask"),
-        _polyline(x_text, bids, _axis_range(bids), PANEL_H, "#4878b0"),
-        _polyline(x_text, asks, _axis_range(asks), PANEL_H, "#b05048"),
-        _range_labels(PANEL_W, PANEL_H, _axis_range(np.concatenate((bids, asks)))),
-    ))
-    reynolds = _series_panel("(f) smoothed Reynolds number", x_text,
-                             bundle.smoothed_reynolds, PANEL_W, 2 * PANEL_H, "#b07a1e")
-    del x_text
-    return "".join((head, _depth_panel(bundle, 0, 0), mid, viscosity, bid_ask,
-                    returns, reynolds, "</svg>"))
+    panels = (
+        ("(b) mid price", PANEL_W, 0, (columns["mid"], "#333333")),
+        ("(c) smoothed viscosity", 0, PANEL_H, (bundle.smoothed_mu, "#7048b0")),
+        ("(d) bid / ask", PANEL_W, PANEL_H,
+         (columns["bid"], "#4878b0"), (columns["ask"], "#b05048")),
+        ("(e) returns", 0, 2 * PANEL_H, (columns["ret"], "#48790f")),
+        ("(f) smoothed Reynolds number", PANEL_W, 2 * PANEL_H,
+         (bundle.smoothed_reynolds, "#b07a1e")),
+    )
+    return "".join((head, _depth_panel(bundle, 0, 0),
+                    *[_series_panel(ts, t_range, *panel) for panel in panels],
+                    "</svg>"))
 
 
 def _heat_color(frac: float) -> str:
@@ -187,9 +182,7 @@ def surface_figure(grid: SurfaceGrid) -> str:
     peak = max((v for row in grid.values for v in row), default=0.0)
     fixed = ", ".join(f"{k} = {v:g}" for k, v in sorted(grid.fixed_params.items()))
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#fafafa"/>',
+        _svg_head(width, height),
         f'<text x="60" y="20" font-size="12" font-family="sans-serif" '
         f'fill="#222">Reynolds surface over ({grid.x_name}, p) at {fixed}</text>',
     ]

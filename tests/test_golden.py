@@ -1,9 +1,9 @@
 """Golden outputs: the sha256 of the files the CLI writes.
 
 Criterion 9 only compares reruns within one version; these pins hold the
-bytes of `series.csv`, `batch.csv` and the two surface tables fixed
-across versions, so a refactor or speedup that changes any output fails
-here.
+bytes of `series.csv`, `batch.csv`, the two surface tables and their
+figures fixed across versions, so a refactor or speedup that changes
+any output fails here.
 """
 
 import hashlib
@@ -33,10 +33,13 @@ WIDE_SHA256 = {
 }
 
 
-# The closed-form Reynolds tables `surface` writes on its default grids.
+# The closed-form Reynolds tables and heatmaps `surface --svg` writes on
+# its default grids.
 SURFACE_SHA256 = {
     "surface_speed.csv": "4c25725e4e8bfd672f5c71fa07a5fc8b714d37cb8931124d34f713e500b270cf",
     "surface_spread.csv": "c5ed29e70f29e8f1d4cf1f9ce402d16f1e1546dfcc9f420f540c2f57b7a87eae",
+    "surface_speed.svg": "ed837f53794d35fc80d3e8ecc120282ac01f47b5f339863ab0c7845eca641e94",
+    "surface_spread.svg": "293c9526ae35796edac26f8bd4c2e64ceb50e6d204a093773d9f9408d5081977",
 }
 
 
@@ -68,6 +71,6 @@ def test_batch_csv_bytes(tmp_path):
 
 
 def test_surface_csv_bytes(tmp_path):
-    assert main(["surface", "--out", str(tmp_path)]) == 0
+    assert main(["surface", "--svg", "--out", str(tmp_path)]) == 0
     for name, digest in SURFACE_SHA256.items():
         assert _sha256(tmp_path / name) == digest, name

@@ -216,8 +216,7 @@ def test_polylines_match_the_per_point_reference():
     ys[::17] = -0.0
     t_range, y_range = svg._axis_range(ts), svg._axis_range(ys)
     for x0 in (0, svg.PANEL_W):
-        assert (svg._polyline(svg._tick_text(ts, t_range, x0), ys, y_range,
-                              svg.PANEL_H, "#333333")
+        assert (svg._polyline(ts, ys, t_range, y_range, x0, svg.PANEL_H, "#333333")
                 == _reference_polyline(ts, ys, t_range, y_range, x0, svg.PANEL_H,
                                        "#333333"))
 
