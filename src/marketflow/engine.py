@@ -24,6 +24,8 @@ from .physics import (
 
 _TICK_FIELDS = [f.name for f in fields(TickRecord)]
 
+_CHUNK = 4096  # ticks per chunk of the loop in `run`
+
 
 @dataclass
 class SeriesBundle:
@@ -59,20 +61,25 @@ def step(book: OrderBook, sampler: AgentSampler, t: int) -> tuple:
         raise DegenerateBookError(f"tick {t}: {exc}") from exc
 
 
-def _readout(outcomes: list[tuple], bid0: int, ask0: int,
+def _transpose(outcomes: list[tuple]) -> list[np.ndarray]:
+    """The five outcome columns (volume, obstacle notional, order
+    notional, bid, ask) of a list of `apply_order` outcomes."""
+    return [np.fromiter(map(itemgetter(k), outcomes), dtype, len(outcomes))
+            for k, dtype in enumerate((float, float, float, np.int64, np.int64))]
+
+
+def _readout(outcome_columns: list[np.ndarray], bid0: int, ask0: int,
              p: float) -> dict[str, np.ndarray]:
-    """The run's `TickRecord` columns from its `apply_order` outcomes,
-    the starting quotes and the configured collision probability, one
-    array pass per quantity.
+    """The run's `TickRecord` columns from its five outcome columns (see
+    `_transpose`), the starting quotes and the configured collision
+    probability, one array pass per quantity.
 
     The one definition of v_T, l and a collision: v_T is the change of
     the mid (bid + ask) / 2.0 from the previous tick, l is the previous
     tick's spread, and a tick collided exactly when its volume is
     positive.
     """
-    volume, obstacle, order, bid, ask = (
-        np.fromiter(map(itemgetter(k), outcomes), dtype, len(outcomes))
-        for k, dtype in enumerate((float, float, float, np.int64, np.int64)))
+    volume, obstacle, order, bid, ask = outcome_columns
     # Under SimConfig's 2**53 bound every mid is an exact half tick, so
     # the mid differences, and mid - v_T, are exact.
     mid = (bid + ask) / 2.0
@@ -84,7 +91,7 @@ def _readout(outcomes: list[tuple], bid0: int, ask0: int,
     else:
         reynolds = reynolds_closed_form(v_t, spread, p)
     return {
-        "t": np.arange(len(outcomes)),
+        "t": np.arange(len(bid)),
         "bid": bid,
         "ask": ask,
         "mid": mid,
@@ -101,16 +108,30 @@ def _readout(outcomes: list[tuple], bid0: int, ask0: int,
 
 def run(config: SimConfig) -> SeriesBundle:
     """Initialize, iterate `steps` ticks, reconcile, read out the physics
-    of every tick at once, smooth, and bundle the result."""
+    of every tick at once, smooth, and bundle the result.
+
+    The loop calls `step` once per tick, `_CHUNK` ticks at a time, and
+    transposes each chunk's outcome tuples into columns before the next
+    chunk starts, so the tuples of at most one chunk are alive at once.
+    A run of at most `_CHUNK` ticks is one chunk and is not copied again.
+    """
     book = init_book(config)
     bid0, ask0 = book.bid, book.ask
     sampler = AgentSampler(config.collision_probability, config.seed)
-    outcomes = [step(book, sampler, t) for t in range(config.steps)]
+    chunks = [_transpose([step(book, sampler, t)
+                          for t in range(start, min(start + _CHUNK, config.steps))])
+              for start in range(0, config.steps, _CHUNK)]
+    outcome_columns = (chunks[0] if len(chunks) == 1
+                       else [np.concatenate(column) for column in zip(*chunks)])
+    # freed here, and the notionals after the readout, so that neither is
+    # alive at the peak, which the readout and smoothing set
+    del chunks
 
     if not reconcile(book):
         raise RuntimeError("volume ledger failed to reconcile against the journal")
 
-    columns = _readout(outcomes, bid0, ask0, config.collision_probability)
+    columns = _readout(outcome_columns, bid0, ask0, config.collision_probability)
+    del outcome_columns
     return SeriesBundle(
         columns=columns,
         smoothed_mu=smooth_viscosity(columns["mu"], config.viscosity_clamp,
