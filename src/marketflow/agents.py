@@ -62,8 +62,8 @@ class AgentSampler:
 
     def sample(self, book: OrderBook) -> tuple[Side, int, float]:
         """The next agent against `book`, as (side, price, size); the
-        size is `book.size_at(price)`, read from the weights as
-        `OrderBook` describes."""
+        size is the kernel mass at the price, `m * (weights[depth] +
+        weights[depth + spread])` as `OrderBook` describes."""
         # The literals 2**63 and 0xFFFFFFFF fold to constants.
         next_word = self._next_word
         bid, ask = book.bid, book.ask

@@ -50,31 +50,25 @@ class OrderBook:
     kernel (m, h) and its weights by tick offset, `weights[r] =
     kernel_weight(r, h)` for r = 0 ... spread + 9; a full fill widens the
     spread by one and appends one weight. A level d ticks outside its
-    nearer quote is d + spread ticks from the other, so its size is
-    `m * (weights[d] + weights[d + spread])`: the bits of `size_at`,
-    since float addition commutes. The far level after a full fill and
-    the sampler's agents are sized that way. A crossed book (bid >= ask)
-    is a `DegenerateBookError`.
+    nearer quote is d + spread ticks from the other, and the kernel is
+    even in an integer offset, so its size `m * (W(p - bid; h) + W(p -
+    ask; h))` is `m * (weights[d] + weights[d + spread])`. The starting
+    levels, the far level after a full fill and the sampler's agents are
+    all sized that way; float addition commutes, so the two starting
+    sides hold the same sizes. A crossed book (bid >= ask) is a
+    `DegenerateBookError`.
     """
 
     def __init__(self, bid: int, ask: int, m: float, h: float):
         if bid >= ask:
             raise DegenerateBookError(f"book is crossed: bid {bid} >= ask {ask}")
         self.bid, self.ask, self.m, self.h = bid, ask, m, h
-        self.weights = [kernel_weight(r, h) for r in range(ask - bid + 10)]
-        self.buy_sizes = [self.size_at(bid - i) for i in range(10)]
-        self.sell_sizes = [self.size_at(ask + i) for i in range(10)]
+        self.weights = weights = [kernel_weight(r, h) for r in range(ask - bid + 10)]
+        self.buy_sizes = [m * (weights[i] + weights[i + ask - bid]) for i in range(10)]
+        self.sell_sizes = self.buy_sizes.copy()
         self.journal: list[tuple[str, Side, int, float]] = (
             [("init", BUY, bid - i, size) for i, size in enumerate(self.buy_sizes)]
             + [("init", SELL, ask + i, size) for i, size in enumerate(self.sell_sizes)])
-
-    def size_at(self, price: int) -> float:
-        """Kernel size at `price` against the current quotes, `m *
-        (kernel_weight(price - bid, h) + kernel_weight(price - ask, h))`
-        bit for bit: `kernel_weight` is even in an integer offset, so it
-        is read from `weights` at the offset's magnitude."""
-        weights = self.weights
-        return self.m * (weights[abs(price - self.bid)] + weights[abs(price - self.ask)])
 
     def check(self) -> None:
         """Ten positive sizes per side and an uncrossed book; the first

@@ -170,9 +170,9 @@ def write_batch_csv(summaries: list[RunSummary], path: str) -> None:
     lines = [f"# batch of {len(summaries)} runs",
              f"# generator = {GENERATOR_NAME}",
              f"# version = {__version__}",
-             ("collision_probability,initial_spread,initial_bid,steps,seed,"
-              "final_mu,final_reynolds,max_reynolds,"
-              "n_laminar,n_transitional,n_turbulent,error")]
+             ",".join(("collision_probability,initial_spread,initial_bid,steps,seed,"
+                       "final_mu,final_reynolds,max_reynolds",
+                       *[f"n_{regime.value}" for regime in REGIMES], "error"))]
     for s in summaries:
         cfg = s.config
         stat = [_fmt(v) if v is not None else "" for v in
@@ -181,8 +181,6 @@ def write_batch_csv(summaries: list[RunSummary], path: str) -> None:
             repr(cfg.collision_probability), str(cfg.initial_spread),
             str(cfg.initial_bid), str(cfg.steps), str(s.seed),
             *stat,
-            str(s.regime_counts.get("laminar", 0)),
-            str(s.regime_counts.get("transitional", 0)),
-            str(s.regime_counts.get("turbulent", 0)),
+            *[str(s.regime_counts.get(regime.value, 0)) for regime in REGIMES],
             s.error or "")))
     _atomic_write(path, "\n".join(lines) + "\n")

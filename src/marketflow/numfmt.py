@@ -39,8 +39,8 @@ def _group_words():
 
 
 _MINUS = words([b"-"])[0, 0]
-# A format `formatted` evaluates with numpy: one `%d` or `%.Nf`
-# conversion with literal text after it
+# The formats `formatted` takes: one `%d` or `%.Nf` conversion with
+# literal text after it
 _CONVERSION = re.compile(r"%(?:d|\.(\d)f)([^%]*)")
 
 
@@ -67,10 +67,10 @@ def _tail_words(places: int, suffix: bytes) -> list:
 @functools.lru_cache(maxsize=16)
 def _layout(fmt: str):
     """(places, or None for `%d`; suffix; `_tail_words`) of a format
-    `formatted` evaluates with numpy; None for any other."""
+    `formatted` takes; `ValueError` for any other."""
     match = _CONVERSION.fullmatch(fmt)
     if match is None:
-        return None
+        raise ValueError(f"format {fmt!r} is not one %d or %.Nf, then text")
     places = None if match[1] is None else int(match[1])
     suffix = match[2].encode()
     return places, suffix, _tail_words(places or 0, suffix)
@@ -113,8 +113,9 @@ def formatted(values, fmt: str) -> np.ndarray:
     words per entry whose non-zero bytes, in memory order, are the text.
     `joined` turns rows into their texts.
 
-    Where `fmt` is one `%d` or `%.Nf` conversion with literal text after
-    it and `|v| * 10**N < 2**52`, the digits are numpy arithmetic:
+    `fmt` is one `%d` or `%.Nf` conversion with literal text after it,
+    as every writer's format is; any other raises `ValueError`. Where
+    `|v| * 10**N < 2**52`, the digits are numpy arithmetic:
     - `%d` of a float truncates toward zero;
     - `%.Nf` rounds the exact binary value half to even, as CPython's
       correctly rounded `%` does. Let p be the rounded product
@@ -126,14 +127,11 @@ def formatted(values, fmt: str) -> np.ndarray:
       that rounds to zero keep their "-", and NaN never gets one;
     - `%.Nf` spells the infinities and NaN `inf`, `-inf` and `nan`.
 
-    Every other value, and every other format, goes through `%` one
-    value at a time, so `%d` of NaN or an infinity raises as `%` does.
+    Every other value goes through `%` one value at a time, so `%d` of
+    NaN or an infinity raises as `%` does.
     """
     values = np.asarray(values)
-    layout = _layout(fmt)
-    if layout is None:
-        return words([(fmt % v).encode() for v in values.tolist()])
-    places, suffix, tail = layout
+    places, suffix, tail = _layout(fmt)
     x = values.astype(np.float64)
     mag = np.abs(x)
     # Values past the bound, NaN and the infinities take no part in the

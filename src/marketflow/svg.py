@@ -139,15 +139,8 @@ def _svg_head(width, height):
 
 def series_figure(bundle: SeriesBundle) -> str:
     """Six panels: book depth, mid price, smoothed viscosity, bid/ask,
-    returns, smoothed Reynolds number."""
-    width = 2 * PANEL_W
-    height = 3 * PANEL_H
-    head = _svg_head(width, height)
-    if not len(bundle.columns["t"]):
-        return (head +
-                f'<text x="{width / 2}" y="{height / 2}" font-size="16" '
-                f'font-family="sans-serif" text-anchor="middle" fill="#666">'
-                f'no data</text></svg>')
+    returns, smoothed Reynolds number. A bundle with no ticks, which
+    `run` never returns, gives five empty series panels."""
     columns = bundle.columns
     ts = np.asarray(columns["t"], dtype=float)
     t_range = _axis_range(ts)  # the x axis of every series panel
@@ -160,7 +153,7 @@ def series_figure(bundle: SeriesBundle) -> str:
         ("(f) smoothed Reynolds number", PANEL_W, 2 * PANEL_H,
          (bundle.smoothed_reynolds, "#b07a1e")),
     )
-    return "".join((head, _depth_panel(bundle, 0, 0),
+    return "".join((_svg_head(2 * PANEL_W, 3 * PANEL_H), _depth_panel(bundle, 0, 0),
                     *[_series_panel(ts, t_range, *panel) for panel in panels],
                     "</svg>"))
 

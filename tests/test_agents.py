@@ -141,7 +141,8 @@ def test_agents_match_numpy_scalar_draws(p):
             else:
                 depth = int(rng.integers(0, 10))
                 price = book.bid - depth if side is Side.BUY else book.ask + depth
-            assert sampler.sample(book) == (side, price, book.size_at(price)), seed
+            size = size_at(price, book.bid, book.ask, book.m, book.h)
+            assert sampler.sample(book) == (side, price, size), seed
 
 
 def test_rejected_draws_take_the_next_32_bits():

@@ -8,6 +8,7 @@ from marketflow import sweep
 from marketflow.cli import build_parser, main
 from marketflow.config import SimConfig
 from marketflow.io import parse_series_header
+from same import assert_same
 
 
 def _rows(path):
@@ -91,7 +92,7 @@ def test_simulate_svg_reruns_to_the_same_bytes(tmp_path, flags):
         assert main(["simulate", "--steps", "4097", *flags, "--svg",
                      "--out", str(out)]) == 0
     for name in ("series.csv", "series.svg"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        assert_same((outs[0] / name).read_bytes(), (outs[1] / name).read_bytes(), name)
 
 
 def test_flag_overrides_config_file(tmp_path):

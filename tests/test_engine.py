@@ -206,6 +206,16 @@ class TestRun:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             run(SimConfig(**{name: value}))
 
+    @pytest.mark.parametrize("name,value", [
+        ("seed", -1),
+        *[("h", h) for h in (0.0, -1.0, math.inf, math.nan)],
+        ("smoothing_window", 0),
+        *[("viscosity_clamp", clamp) for clamp in (0.0, -1.0, math.nan)],
+    ])
+    def test_rejects_a_value_out_of_range(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name}"):
+            SimConfig(**{name: value})
+
     def test_config_is_checked_when_built_and_then_frozen(self):
         with pytest.raises(ValueError, match="^steps must be >= 1"):
             SimConfig(steps=0)

@@ -1,5 +1,6 @@
 """Unit tests for config files, CSV output, and SVG rendering."""
 
+import math
 import xml.dom.minidom
 from dataclasses import fields
 
@@ -28,6 +29,7 @@ from marketflow.sweep import (
     default_speed_grid,
     surface_speed,
 )
+from same import assert_same
 
 
 class TestParseConfig:
@@ -94,7 +96,7 @@ class TestSeriesCsv:
         write_series_csv(bundle, str(path))
         first = path.read_bytes()
         write_series_csv(bundle, str(path))
-        assert path.read_bytes() == first
+        assert_same(path.read_bytes(), first)
 
         lines = first.decode().splitlines()
         meta = [ln for ln in lines if ln.startswith("#")]
@@ -132,7 +134,7 @@ class TestSeriesCsv:
         write_series_csv(run(config), str(first))
         write_series_csv(run(parse_series_header(str(first))), str(second))
         assert "# h = 134217729.0\n" in first.read_text()
-        assert first.read_bytes() == second.read_bytes()
+        assert_same(first.read_bytes(), second.read_bytes())
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "bare.csv"
@@ -163,6 +165,14 @@ class TestGridCsv:
                 if not ln.startswith("#")][1:]
         assert all(ln.endswith(",0.000000") for ln in data)
 
+    def test_every_infinity_is_written_inf(self, tmp_path):
+        grid = surface_speed([-math.inf, 1.0], [0.5], l=1.0)
+        path = tmp_path / "surface.csv"
+        write_grid_csv(grid, str(path))
+        data = [ln for ln in path.read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        assert data == ["inf,0.500000,inf", "1.000000,0.500000,1.000000"]
+
 
 class TestBatchCsv:
     def test_rows_and_error_column(self, tmp_path):
@@ -180,6 +190,15 @@ class TestBatchCsv:
         assert good[5] != ""
         assert bad[-1].startswith("tick 0: price floor")
         assert bad[5] == ""
+
+    def test_infinite_statistics_are_written_inf(self, tmp_path):
+        # at P = 1 every moving tick's Reynolds number is +inf
+        config = SimConfig(collision_probability=1.0, steps=50)
+        summaries = batch_runs(config, [{}], [0])
+        path = tmp_path / "batch.csv"
+        write_batch_csv(summaries, str(path))
+        assert (path.read_text().splitlines()[-1]
+                == "1.0,1,3681,50,0,0.607257,inf,inf,13,0,37,")
 
 
 class TestMetadataHeader:
@@ -201,9 +220,9 @@ class TestSvg:
 
     def test_series_figure_is_deterministic(self):
         bundle = run(SimConfig(steps=40, seed=3))
-        assert series_figure(bundle) == series_figure(bundle)
+        assert_same(series_figure(bundle), series_figure(bundle))
 
-    def test_empty_series_renders_a_placeholder(self):
+    def test_empty_series_renders_empty_panels(self):
         config = SimConfig()
         empty = SeriesBundle(columns={f.name: np.empty(0) for f in fields(TickRecord)},
                              smoothed_mu=[], smoothed_reynolds=[],
@@ -211,7 +230,9 @@ class TestSvg:
                              final_book=init_book(config))
         markup = series_figure(empty)
         xml.dom.minidom.parseString(markup)
-        assert "no data" in markup
+        for label in ("(a)", "(b)", "(c)", "(d)", "(e)", "(f)"):
+            assert label in markup
+        assert "<polyline" not in markup
 
     def test_surface_figure_is_wellformed(self):
         grid = surface_speed(default_speed_grid(), default_probability_grid())

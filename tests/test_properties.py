@@ -141,6 +141,12 @@ def test_formatted_spells_the_branches(value, fmt, text):
     assert _texts(formatted(np.array([value]), fmt)) == [text]
 
 
+@pytest.mark.parametrize("fmt", ["%s", "%.2e,", "x%d"])
+def test_formatted_rejects_any_other_format(fmt):
+    with pytest.raises(ValueError, match="^format"):
+        formatted(np.arange(3.0), fmt)
+
+
 SERIES_CELLS = (("t", "%d"), ("bid", "%d"), ("ask", "%d"), ("mid", "%.6f"),
                 ("ret", "%.6f"), ("v_t", "%.6f"), ("spread", "%d"), ("volume", "%.6f"),
                 ("p_hat", "%.6f"), ("mu", "%.6f"), ("smoothed_mu", "%.6f"),

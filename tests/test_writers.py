@@ -34,6 +34,7 @@ from marketflow.config import SimConfig
 from marketflow.engine import SeriesBundle, run
 from marketflow.io import _BLOCK, write_series_csv
 from marketflow.physics import REGIMES, FlowRegime, TickRecord
+from same import assert_same
 
 # (seed, P, window, steps) -> (series.csv sha256, series.svg sha256)
 WRITER_SHA256 = {
@@ -201,8 +202,8 @@ def test_writers_match_the_per_value_references(tmp_path, config):
     bundle = run(config)
     path = tmp_path / "series.csv"
     write_series_csv(bundle, str(path))
-    assert path.read_bytes() == _reference_series_csv(bundle)
-    assert svg.series_figure(bundle) == _reference_series_figure(bundle)
+    assert_same(path.read_bytes(), _reference_series_csv(bundle))
+    assert_same(svg.series_figure(bundle), _reference_series_figure(bundle))
 
 
 def test_polylines_match_the_per_point_reference():
@@ -216,9 +217,8 @@ def test_polylines_match_the_per_point_reference():
     ys[::17] = -0.0
     t_range, y_range = svg._axis_range(ts), svg._axis_range(ys)
     for x0 in (0, svg.PANEL_W):
-        assert (svg._polyline(ts, ys, t_range, y_range, x0, svg.PANEL_H, "#333333")
-                == _reference_polyline(ts, ys, t_range, y_range, x0, svg.PANEL_H,
-                                       "#333333"))
+        args = (ts, ys, t_range, y_range, x0, svg.PANEL_H, "#333333")
+        assert_same(svg._polyline(*args), _reference_polyline(*args))
 
 
 def test_a_failed_write_leaves_the_old_file_and_no_temporary(tmp_path, monkeypatch):
