@@ -27,10 +27,10 @@ class SimConfig:
     viscosity_clamp: float = 2.0
 
     def __post_init__(self) -> None:
-        # Exactly int: a float would be truncated by the %d writers and
-        # echo a header that does not parse back; a bool is no count. A
-        # float field takes an int or a float and stores a float, which the
-        # header echoes as a rerun parses it (an int h gives other weights).
+        # Exactly int: a float would echo a header that does not parse
+        # back, and a bool is no count. A float field takes an int or a
+        # float and stores a float, which the header echoes as a rerun
+        # parses it (an int h gives other weights).
         for name, kind in CONFIG_FIELDS.items():
             value = getattr(self, name)
             if kind is int and type(value) is not int:

@@ -27,8 +27,13 @@ from .numfmt import formatted, joined, words
 from .physics import REGIMES
 from .sweep import RunSummary, SurfaceGrid
 
-SERIES_COLUMNS = ("t,bid,ask,mid,return,v_T,l,V,p_hat,mu_raw,mu_smoothed,"
-                  "reynolds_raw,reynolds_smoothed,regime")
+# series.csv's columns before the regime: (header, the `bundle.columns`
+# key or the `SeriesBundle` field of a smoothed series that it writes)
+_SERIES = (("t", "t"), ("bid", "bid"), ("ask", "ask"), ("mid", "mid"),
+           ("return", "ret"), ("v_T", "v_t"), ("l", "spread"), ("V", "volume"),
+           ("p_hat", "p_hat"), ("mu_raw", "mu"), ("mu_smoothed", "smoothed_mu"),
+           ("reynolds_raw", "reynolds"), ("reynolds_smoothed", "smoothed_reynolds"))
+SERIES_COLUMNS = ",".join([header for header, _ in _SERIES] + ["regime"])
 
 
 def parse_config_lines(lines, source="config") -> dict:
@@ -119,11 +124,6 @@ def _atomic_write(path: str, text: str) -> None:
     _atomic_write_chunks(path, map(str.encode, (text,)))
 
 
-# The format of each series.csv column before the regime, separator
-# included, in column order
-_SERIES_FORMATS = ("%d,",) * 3 + ("%.6f,",) * 3 + ("%d,",) + ("%.6f,",) * 6
-_SERIES_FIELDS = ("t", "bid", "ask", "mid", "ret", "v_t", "spread", "volume",
-                  "p_hat", "mu")
 # Rows formatted and written per pass, so a long run's text is never
 # held whole
 _BLOCK = 2048
@@ -133,12 +133,14 @@ def _series_text(bundle: SeriesBundle):
     """series.csv's header, then its rows, one block at a time, as bytes."""
     yield "\n".join(metadata_header(bundle.config) + [SERIES_COLUMNS, ""]).encode()
     columns = bundle.columns
-    series = ([columns[name] for name in _SERIES_FIELDS]
-              + [bundle.smoothed_mu, columns["reynolds"], bundle.smoothed_reynolds])
+    series = [np.asarray(columns[source] if source in columns else getattr(bundle, source))
+              for _, source in _SERIES]
+    # integer columns as whole numbers: %.0f spells an int below 2**53 exactly
+    formats = ["%.0f," if values.dtype.kind == "i" else "%.6f," for values in series]
     names = words([(regime.value + "\n").encode() for regime in REGIMES])
     for lo in range(0, len(columns["t"]), _BLOCK):
         cut = slice(lo, lo + _BLOCK)
-        cells = [formatted(values[cut], fmt) for values, fmt in zip(series, _SERIES_FORMATS)]
+        cells = [formatted(values[cut], fmt) for values, fmt in zip(series, formats)]
         cells.append(names[columns["regime"][cut]])
         # %.6f keeps the sign of -inf; no other cell can hold "-inf"
         yield joined(np.concatenate(cells, axis=1)).replace(b"-inf", b"inf")
@@ -146,9 +148,11 @@ def _series_text(bundle: SeriesBundle):
 
 def write_series_csv(bundle: SeriesBundle, path: str) -> None:
     """One row per tick, streamed to the file in blocks of `_BLOCK` rows:
-    each block is formatted and written before the next is made. Floats
-    are written with six decimals, and every infinity, of either sign,
-    as the token `inf`."""
+    each block is formatted and written before the next is made. The
+    columns are those of `_SERIES`, then the regime. Integer columns
+    (`t`, `bid`, `ask`, `l`) are written as whole numbers, the others
+    with six decimals, and every infinity, of either sign, as the token
+    `inf`."""
     _atomic_write_chunks(path, _series_text(bundle))
 
 

@@ -39,9 +39,9 @@ def _group_words():
 
 
 _MINUS = words([b"-"])[0, 0]
-# The formats `formatted` takes: one `%d` or `%.Nf` conversion with
-# literal text after it
-_CONVERSION = re.compile(r"%(?:d|\.(\d)f)([^%]*)")
+# The formats `formatted` takes: one `%.Nf` conversion with literal
+# text after it
+_CONVERSION = re.compile(r"%\.(\d)f([^%]*)")
 
 
 def _tail_words(places: int, suffix: bytes) -> list:
@@ -66,14 +66,13 @@ def _tail_words(places: int, suffix: bytes) -> list:
 
 @functools.lru_cache(maxsize=16)
 def _layout(fmt: str):
-    """(places, or None for `%d`; suffix; `_tail_words`) of a format
-    `formatted` takes; `ValueError` for any other."""
+    """(places N, suffix, `_tail_words`) of a format `formatted` takes;
+    `ValueError` for any other."""
     match = _CONVERSION.fullmatch(fmt)
     if match is None:
-        raise ValueError(f"format {fmt!r} is not one %d or %.Nf, then text")
-    places = None if match[1] is None else int(match[1])
-    suffix = match[2].encode()
-    return places, suffix, _tail_words(places or 0, suffix)
+        raise ValueError(f"format {fmt!r} is not one %.Nf, then text")
+    places, suffix = int(match[1]), match[2].encode()
+    return places, suffix, _tail_words(places, suffix)
 
 
 def _product_error(a, b, p):
@@ -113,11 +112,10 @@ def formatted(values, fmt: str) -> np.ndarray:
     words per entry whose non-zero bytes, in memory order, are the text.
     `joined` turns rows into their texts.
 
-    `fmt` is one `%d` or `%.Nf` conversion with literal text after it,
-    as every writer's format is; any other raises `ValueError`. Where
+    `fmt` is one `%.Nf` conversion with literal text after it, as every
+    writer's format is; any other raises `ValueError`. Where
     `|v| * 10**N < 2**52`, the digits are numpy arithmetic:
-    - `%d` of a float truncates toward zero;
-    - `%.Nf` rounds the exact binary value half to even, as CPython's
+    - the exact binary value is rounded half to even, as CPython's
       correctly rounded `%` does. Let p be the rounded product
       `|v| * 10**N`. Below 2**52 every n + 1/2 is a double, and rounding
       is monotonic, so the exact product lies on p's side of each
@@ -125,10 +123,9 @@ def formatted(values, fmt: str) -> np.ndarray:
       product's exact error (`_product_error`) settle the tie;
     - the sign comes from the sign bit, so -0.0 and a negative value
       that rounds to zero keep their "-", and NaN never gets one;
-    - `%.Nf` spells the infinities and NaN `inf`, `-inf` and `nan`.
+    - the infinities and NaN are spelled `inf`, `-inf` and `nan`.
 
-    Every other value goes through `%` one value at a time, so `%d` of
-    NaN or an infinity raises as `%` does.
+    Every other value goes through `%` one value at a time.
     """
     values = np.asarray(values)
     places, suffix, tail = _layout(fmt)
@@ -138,24 +135,20 @@ def formatted(values, fmt: str) -> np.ndarray:
     # arithmetic: it would warn on them, under `-W error` too.
     small = mag < 2.0**52
     mag[~small] = 0.0
-    unit = 10 ** (places or 0)
+    unit = 10**places
     scale = float(unit)
     p = mag * scale
     small &= p < 2.0**52
     p[~small] = 0.0
-    k = p.astype(np.int64)  # floor(p), and for `%d` |v| truncated
-    if places is None:
-        minus = (x < 0.0) & (k != 0)
-        named = np.zeros(x.shape, dtype=bool)
-    else:
-        frac = p - k
-        ties = np.flatnonzero(frac == 0.5)
-        k += frac > 0.5
-        if len(ties):
-            error = _product_error(mag[ties], scale, p[ties])
-            k[ties] += (error > 0.0) | (error == 0.0) & (k[ties] % 2 == 1)
-        minus = np.signbit(x) & ~np.isnan(x)
-        named = ~np.isfinite(x)
+    k = p.astype(np.int64)  # floor(p)
+    frac = p - k
+    ties = np.flatnonzero(frac == 0.5)
+    k += frac > 0.5
+    if len(ties):
+        error = _product_error(mag[ties], scale, p[ties])
+        k[ties] += (error > 0.0) | (error == 0.0) & (k[ties] % 2 == 1)
+    minus = np.signbit(x) & ~np.isnan(x)
+    named = ~np.isfinite(x)
     whole = k // unit
     part = k - whole * unit
 

@@ -225,7 +225,7 @@ def test_a_failed_write_leaves_the_old_file_and_no_temporary(tmp_path, monkeypat
     bundle = run(SimConfig(seed=2, collision_probability=0.5, steps=2 * _BLOCK + 3))
     path = tmp_path / "series.csv"
     path.write_text("the old file\n")
-    per_block = len(io._SERIES_FORMATS)  # one formatted call per column and block
+    per_block = len(io._SERIES)  # one formatted call per column and block
     formatted, calls = io.formatted, []
 
     def failing(values, fmt):
@@ -239,9 +239,28 @@ def test_a_failed_write_leaves_the_old_file_and_no_temporary(tmp_path, monkeypat
         write_series_csv(bundle, str(path))
     # the first column of the second block: tick _BLOCK
     assert len(calls) == per_block + 1
-    assert calls[-1] == (_BLOCK, _BLOCK, io._SERIES_FORMATS[0])
+    assert calls[-1] == (_BLOCK, _BLOCK, "%.0f,")
     assert path.read_text() == "the old file\n"
     assert os.listdir(tmp_path) == ["series.csv"]
+
+
+def test_a_temporary_that_cannot_be_removed_keeps_the_first_error(tmp_path, monkeypatch):
+    bundle = run(SimConfig(seed=2, steps=10))
+    path = tmp_path / "series.csv"
+    path.write_text("the old file\n")
+
+    def failing(values, fmt):
+        raise RuntimeError("formatting failed")
+
+    def unremovable(name):
+        raise OSError(f"cannot remove {name}")
+
+    monkeypatch.setattr(io, "formatted", failing)
+    monkeypatch.setattr(io.os, "remove", unremovable)
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        write_series_csv(bundle, str(path))
+    assert path.read_text() == "the old file\n"
+    assert sorted(os.listdir(tmp_path)) == ["series.csv", "series.csv.tmp"]
 
 
 def test_a_failed_svg_write_leaves_no_temporary(tmp_path):
