@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from operator import itemgetter
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -23,8 +23,6 @@ from .physics import (
 
 
 _TICK_FIELDS = [f.name for f in fields(TickRecord)]
-
-_CHUNK = 4096  # ticks per chunk of the loop in `run`
 
 
 @dataclass
@@ -61,27 +59,24 @@ def step(book: OrderBook, sampler: AgentSampler, t: int) -> tuple:
         raise DegenerateBookError(f"tick {t}: {exc}") from exc
 
 
-def _transpose(outcomes: list[tuple]) -> list[np.ndarray]:
-    """The five outcome columns (volume, obstacle notional, order
-    notional, bid, ask) of a list of `apply_order` outcomes."""
-    return [np.fromiter(map(itemgetter(k), outcomes), dtype, len(outcomes))
-            for k, dtype in enumerate((float, float, float, np.int64, np.int64))]
-
-
-def _readout(outcome_columns: list[np.ndarray], bid0: int, ask0: int,
+def _readout(outcomes: np.ndarray, bid0: int, ask0: int,
              p: float) -> dict[str, np.ndarray]:
-    """The run's `TickRecord` columns from its five outcome columns (see
-    `_transpose`), the starting quotes and the configured collision
-    probability, one array pass per quantity.
+    """The run's `TickRecord` columns from its outcome table (one row per
+    tick of volume, obstacle notional, order notional, bid and ask), the
+    starting quotes and the configured collision probability, one array
+    pass per quantity. Every returned array owns its memory, so none
+    keeps the table alive.
 
     The one definition of v_T, l and a collision: v_T is the change of
     the mid (bid + ask) / 2.0 from the previous tick, l is the previous
     tick's spread, and a tick collided exactly when its volume is
     positive.
     """
-    volume, obstacle, order, bid, ask = outcome_columns
-    # Under SimConfig's 2**53 bound every mid is an exact half tick, so
+    volume, obstacle, order, bid, ask = outcomes.T
+    # Under SimConfig's 2**53 bound every quote is an exact float64, so
+    # the integer quotes are exact, every mid is an exact half tick, and
     # the mid differences, and mid - v_T, are exact.
+    bid, ask = bid.astype(np.int64), ask.astype(np.int64)
     mid = (bid + ask) / 2.0
     v_t = mid - np.concatenate(([(bid0 + ask0) / 2.0], mid[:-1]))
     spread = np.concatenate(([ask0 - bid0], (ask - bid)[:-1]))
@@ -98,7 +93,7 @@ def _readout(outcome_columns: list[np.ndarray], bid0: int, ask0: int,
         "ret": v_t / (mid - v_t),
         "v_t": v_t,
         "spread": spread,
-        "volume": volume,
+        "volume": volume.copy(),
         "mu": viscosity(volume, v_t, obstacle, order),
         "p_hat": collision_ratio(order, obstacle, volume > 0.0),
         "reynolds": reynolds,
@@ -110,28 +105,23 @@ def run(config: SimConfig) -> SeriesBundle:
     """Initialize, iterate `steps` ticks, reconcile, read out the physics
     of every tick at once, smooth, and bundle the result.
 
-    The loop calls `step` once per tick, `_CHUNK` ticks at a time, and
-    transposes each chunk's outcome tuples into columns before the next
-    chunk starts, so the tuples of at most one chunk are alive at once.
-    A run of at most `_CHUNK` ticks is one chunk and is not copied again.
+    The loop calls `step` once per tick and writes each outcome tuple
+    into one float64 table of five columns, 40 B a tick, so no tuple
+    outlives its tick.
     """
     book = init_book(config)
     bid0, ask0 = book.bid, book.ask
     sampler = AgentSampler(config.collision_probability, config.seed)
-    chunks = [_transpose([step(book, sampler, t)
-                          for t in range(start, min(start + _CHUNK, config.steps))])
-              for start in range(0, config.steps, _CHUNK)]
-    outcome_columns = (chunks[0] if len(chunks) == 1
-                       else [np.concatenate(column) for column in zip(*chunks)])
-    # freed here, and the notionals after the readout, so that neither is
-    # alive at the peak, which the readout and smoothing set
-    del chunks
+    outcomes = np.fromiter(
+        chain.from_iterable(map(step, repeat(book), repeat(sampler), range(config.steps))),
+        float, 5 * config.steps).reshape(-1, 5)
 
     if not reconcile(book):
         raise RuntimeError("volume ledger failed to reconcile against the journal")
 
-    columns = _readout(outcome_columns, bid0, ask0, config.collision_probability)
-    del outcome_columns
+    columns = _readout(outcomes, bid0, ask0, config.collision_probability)
+    # the table, and with it the notionals, is freed before smoothing
+    del outcomes
     return SeriesBundle(
         columns=columns,
         smoothed_mu=smooth_viscosity(columns["mu"], config.viscosity_clamp,

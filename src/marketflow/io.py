@@ -179,12 +179,13 @@ def write_batch_csv(summaries: list[RunSummary], path: str) -> None:
                        *[f"n_{regime.value}" for regime in REGIMES], "error"))]
     for s in summaries:
         cfg = s.config
-        stat = [_fmt(v) if v is not None else "" for v in
-                (s.final_mu, s.final_reynolds, s.max_reynolds)]
+        if s.error:  # a stopped run writes its error and no numbers
+            tail = [""] * (3 + len(REGIMES)) + [s.error]
+        else:
+            tail = [*map(_fmt, (s.final_mu, s.final_reynolds, s.max_reynolds)),
+                    *[str(s.regime_counts.get(regime.value, 0)) for regime in REGIMES],
+                    ""]
         lines.append(",".join((
             repr(cfg.collision_probability), str(cfg.initial_spread),
-            str(cfg.initial_bid), str(cfg.steps), str(s.seed),
-            *stat,
-            *[str(s.regime_counts.get(regime.value, 0)) for regime in REGIMES],
-            s.error or "")))
+            str(cfg.initial_bid), str(cfg.steps), str(s.seed), *tail)))
     _atomic_write(path, "\n".join(lines) + "\n")

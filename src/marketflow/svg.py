@@ -47,20 +47,12 @@ def _axis_range(values):
     return lo, hi
 
 
-def _scale_x(xs, x_range, x0):
-    """x0 + PAD_L + (x - lo_x) / (hi_x - lo_x) * inner_w for each x, grouped
-    as Python groups it; x_range is `_axis_range` of the series."""
-    lo_x, hi_x = x_range
-    inner_w = PANEL_W - PAD_L - PAD_R
-    return (x0 + PAD_L) + (xs - lo_x) / (hi_x - lo_x) * inner_w
-
-
-def _scale_y(ys, y_range, y0):
-    """y0 + PANEL_H - PAD_B - (y - lo_y) / (hi_y - lo_y) * inner_h for each
-    y, grouped as Python groups it."""
-    lo_y, hi_y = y_range
-    inner_h = PANEL_H - PAD_T - PAD_B
-    return (y0 + PANEL_H - PAD_B) - (ys - lo_y) / (hi_y - lo_y) * inner_h
+def _scale(values, value_range, origin, span):
+    """origin + (v - lo) / (hi - lo) * span for each v, grouped as Python
+    groups it; value_range is `_axis_range` of the series. The y axis
+    passes a negative span, since SVG's y grows downwards."""
+    lo, hi = value_range
+    return origin + (values - lo) / (hi - lo) * span
 
 
 def _polyline(ts, ys, t_range, y_range, x0, y0, color):
@@ -69,9 +61,11 @@ def _polyline(ts, ys, t_range, y_range, x0, y0, color):
     keep = np.isfinite(ys)
     if not keep.any():
         return ""
+    inner_w, inner_h = PANEL_W - PAD_L - PAD_R, PANEL_H - PAD_T - PAD_B
     points = joined(np.concatenate(
-        (formatted(_scale_x(ts[keep], t_range, x0), "%.2f,"),
-         formatted(_scale_y(ys[keep], y_range, y0), "%.2f ")), axis=1))
+        (formatted(_scale(ts[keep], t_range, x0 + PAD_L, inner_w), "%.2f,"),
+         formatted(_scale(ys[keep], y_range, y0 + PANEL_H - PAD_B, -inner_h), "%.2f ")),
+        axis=1))
     return (f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
             f'points="{points[:-1].decode()}"/>')
 

@@ -84,9 +84,9 @@ def test_simulate_svg_flag(tmp_path):
                                    ["--collision-probability", "1.0", "--window", "1"]],
                          ids=["window-200", "P1-window-1"])
 def test_simulate_svg_reruns_to_the_same_bytes(tmp_path, flags):
-    # criterion 9 with both writers: 4097 ticks cross the run loop's
-    # 4096-tick chunk seam and series.csv's two 2048-row block seams; at
-    # P = 1 and window 1 infinities and finite values meet at those seams
+    # criterion 9 with both writers: 4097 ticks cross series.csv's two
+    # 2048-row block seams; at P = 1 and window 1 infinities and finite
+    # values meet at those seams
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
         assert main(["simulate", "--steps", "4097", *flags, "--svg",

@@ -251,8 +251,8 @@ class TestRun:
             run(SimConfig(initial_bid=10, steps=10))
 
     @pytest.mark.parametrize("p, steps, tick", [(1.0, 8193, 7430), (0.99, 20000, 9843)])
-    def test_price_floor_in_a_later_chunk_names_its_tick(self, p, steps, tick):
-        # the floor is reached past the first 4096-tick chunk of the loop
+    def test_price_floor_late_in_a_long_run_names_its_tick(self, p, steps, tick):
+        # the floor is reached thousands of ticks into the loop's table
         with pytest.raises(DegenerateBookError, match=rf"^tick {tick}: price floor"):
             run(SimConfig(collision_probability=p, steps=steps, seed=1))
 
@@ -367,11 +367,12 @@ class TestStepIsThePatchPoint:
         assert columns["ask"].tolist() == [out[4] for out in outcomes]
         assert columns["volume"].tolist() == [out[0] for out in outcomes]
 
-    @pytest.mark.parametrize("steps", [engine._CHUNK - 1, engine._CHUNK,
-                                       engine._CHUNK + 1, 2 * engine._CHUNK + 1])
-    def test_chunk_seams_read_out_like_the_whole_outcome_list(self, monkeypatch, steps):
-        # the loop transposes its outcomes one chunk at a time; the columns
-        # must equal the readout of every outcome taken at once
+    @pytest.mark.parametrize("steps", [1, 2, 4097, 8193])
+    def test_table_reads_out_like_the_outcome_list(self, monkeypatch, steps):
+        # the loop writes the flattened outcomes into one table with a fixed
+        # count, which would misalign its rows without an error if a tuple
+        # had another length; the columns must equal the readout of the
+        # outcome tuples that step returned
         outcomes = []
         real_step = engine.step
 
@@ -383,18 +384,30 @@ class TestStepIsThePatchPoint:
         config = SimConfig(collision_probability=0.5, steps=steps, seed=1)
         columns = run(config).columns
         book = init_book(config)
-        whole = [np.array([out[k] for out in outcomes], dtype)
-                 for k, dtype in enumerate((float, float, float, np.int64, np.int64))]
-        want = engine._readout(whole, book.bid, book.ask, config.collision_probability)
+        want = engine._readout(np.array(outcomes, dtype=float), book.bid, book.ask,
+                               config.collision_probability)
         assert len(outcomes) == steps
+        assert columns["bid"].tolist() == [out[3] for out in outcomes]
+        assert columns["ask"].tolist() == [out[4] for out in outcomes]
         for name in ("bid", "ask", "volume", "mu", "p_hat"):
             assert columns[name].dtype == want[name].dtype, name
             assert columns[name].tobytes() == want[name].tobytes(), name
 
 
+@pytest.mark.parametrize("steps", [1, 450, 4097])
+def test_a_run_holds_only_its_own_arrays(steps):
+    # no kept array is a view, so none keeps the loop's 40 B/tick outcome
+    # table alive after the run
+    bundle = run(SimConfig(collision_probability=0.5, steps=steps, seed=1))
+    for name, values in [*bundle.columns.items(), ("smoothed_mu", bundle.smoothed_mu),
+                         ("smoothed_reynolds", bundle.smoothed_reynolds)]:
+        assert values.base is None, name
+
+
 def test_run_peak_memory_per_tick():
-    # the tuples of at most one 4096-tick chunk are alive at once; with the
-    # whole run's outcome tuples alive this run peaked at about 410 B/tick
+    # the loop fills one 40 B/tick float64 table and keeps no outcome tuple
+    # past its tick; with the whole run's tuples alive this run peaked at
+    # about 410 B/tick
     steps = 20000
     config = SimConfig(collision_probability=0.5, steps=steps, seed=1,
                        smoothing_window=200)

@@ -119,8 +119,9 @@ def test_points_are_the_doubles_of_the_scalar_formula():
         for x, y in zip(xs.tolist(), ys.tolist())
         if math.isfinite(x) and math.isfinite(y)]
     keep = np.isfinite(xs) & np.isfinite(ys)
-    points = np.stack((svg._scale_x(xs, x_range, x0)[keep],
-                       svg._scale_y(ys, y_range, y0)[keep]), axis=1)
+    points = np.stack((svg._scale(xs, x_range, x0 + svg.PAD_L, inner_w)[keep],
+                       svg._scale(ys, y_range, y0 + svg.PANEL_H - svg.PAD_B,
+                                  -inner_h)[keep]), axis=1)
     assert points.tolist() == expected
 
 
