@@ -29,6 +29,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .book import BUY, SELL, OrderBook, Side
+from .config import SimConfig
 
 GENERATOR_NAME = "numpy PCG64"
 
@@ -37,25 +38,23 @@ BLOCK = 128  # raw words per call into numpy: ~50 ticks, a 6.6 KB list
 
 class AgentSampler:
     """Draws one agent per tick: equiprobable side, then a price that is
-    the opposite best quote with the collision probability or else one
-    of the ten own-side levels uniformly, then the book's kernel size at
-    that price.
+    the opposite best quote with the config's collision probability or
+    else one of the ten own-side levels uniformly, then the book's kernel
+    size at that price.
 
     The draws are numpy's `random()` for the side, `random()` for the
     collision and, without a collision, `integers(0, 10)` for the depth,
-    replayed on the raw PCG64 stream of `seed` (see the module
+    replayed on the raw PCG64 stream of the config's seed (see the module
     docstring). An identical seed against an identical book sequence
     reproduces the identical agent sequence.
     """
 
     __slots__ = ("_collide_below", "_next_word", "_kept")
 
-    def __init__(self, collision_probability: float, seed: int = 0):
-        if not 0.0 <= collision_probability <= 1.0:
-            raise ValueError("collision_probability must be in [0, 1]")
-        self._collide_below = math.ceil(collision_probability * 2**53) << 11
+    def __init__(self, config: SimConfig):
+        self._collide_below = math.ceil(config.collision_probability * 2**53) << 11
         # PCG64(seed)'s 64-bit outputs as Python ints, without end.
-        bit_generator = np.random.PCG64(seed)
+        bit_generator = np.random.PCG64(config.seed)
         self._next_word = chain.from_iterable(map(
             np.ndarray.tolist, map(bit_generator.random_raw, repeat(BLOCK)))).__next__
         self._kept = None  # high half of a word, owed to the next 32-bit draw

@@ -55,13 +55,13 @@ class OrderBook:
     ask; h))` is `m * (weights[d] + weights[d + spread])`. The starting
     levels, the far level after a full fill and the sampler's agents are
     all sized that way; float addition commutes, so the two starting
-    sides hold the same sizes. A crossed book (bid >= ask) is a
-    `DegenerateBookError`.
+    sides hold the same sizes. The starting quotes are the config's
+    `initial_bid` and `initial_bid + initial_spread`.
     """
 
-    def __init__(self, bid: int, ask: int, m: float, h: float):
-        if bid >= ask:
-            raise DegenerateBookError(f"book is crossed: bid {bid} >= ask {ask}")
+    def __init__(self, config: SimConfig):
+        bid, m, h = config.initial_bid, config.m, config.h
+        ask = bid + config.initial_spread
         self.bid, self.ask, self.m, self.h = bid, ask, m, h
         self.weights = weights = [kernel_weight(r, h) for r in range(ask - bid + 10)]
         self.buy_sizes = [m * (weights[i] + weights[i + ask - bid]) for i in range(10)]
@@ -91,13 +91,6 @@ class OrderBook:
         if self.bid >= self.ask:
             raise DegenerateBookError(
                 f"book is crossed: bid {self.bid} >= ask {self.ask}")
-
-
-def init_book(config: SimConfig) -> OrderBook:
-    """Build the starting book: ten contiguous levels per side around the
-    configured bid and spread, sized by the kernel at those anchors."""
-    return OrderBook(config.initial_bid, config.initial_bid + config.initial_spread,
-                     config.m, config.h)
 
 
 def apply_order(book: OrderBook,

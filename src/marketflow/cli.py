@@ -108,21 +108,18 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 def _cmd_surface(args: argparse.Namespace) -> int:
     p_grid = default_probability_grid()
-    speed = surface_speed(default_speed_grid(), p_grid, l=1.0)
-    spread = surface_spread(default_l_grid(), p_grid, v_t=1.0)
+    grids = (("surface_speed", surface_speed(default_speed_grid(), p_grid, l=1.0)),
+             ("surface_spread", surface_spread(default_l_grid(), p_grid, v_t=1.0)))
     os.makedirs(args.out, exist_ok=True)
-    speed_path = os.path.join(args.out, "surface_speed.csv")
-    spread_path = os.path.join(args.out, "surface_spread.csv")
-    write_grid_csv(speed, speed_path)
-    write_grid_csv(spread, spread_path)
-    written = [speed_path, spread_path]
+    written = []
+    for name, grid in grids:
+        written.append(os.path.join(args.out, f"{name}.csv"))
+        write_grid_csv(grid, written[-1])
     if args.svg:
         from .svg import surface_figure, write_svg
-        for grid, name in ((speed, "surface_speed.svg"),
-                           (spread, "surface_spread.svg")):
-            path = os.path.join(args.out, name)
-            write_svg(surface_figure(grid), path)
-            written.append(path)
+        for name, grid in grids:
+            written.append(os.path.join(args.out, f"{name}.svg"))
+            write_svg(surface_figure(grid), written[-1])
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -30,7 +30,8 @@ class SimConfig:
         # Exactly int: a float would echo a header that does not parse
         # back, and a bool is no count. A float field takes an int or a
         # float and stores a float, which the header echoes as a rerun
-        # parses it (an int h gives other weights).
+        # parses it (an int h gives other weights); + 0.0 makes -0.0 the
+        # 0.0 it equals, so both write the same bytes.
         for name, kind in CONFIG_FIELDS.items():
             value = getattr(self, name)
             if kind is int and type(value) is not int:
@@ -39,7 +40,7 @@ class SimConfig:
                 raise ValueError(f"{name} must be a number, got {value!r}")
             if kind is float:
                 try:
-                    object.__setattr__(self, name, float(value))
+                    object.__setattr__(self, name, float(value) + 0.0)
                 except OverflowError:
                     raise ValueError(f"{name} is too large for a float") from None
         # Ten buy levels from the bid down, all at prices >= 1.

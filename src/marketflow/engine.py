@@ -9,7 +9,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .agents import AgentSampler
-from .book import OrderBook, apply_order, init_book, reconcile
+from .book import OrderBook, apply_order, reconcile
 from .config import SimConfig
 from .physics import (
     REGIMES,
@@ -109,9 +109,9 @@ def run(config: SimConfig) -> SeriesBundle:
     into one float64 table of five columns, 40 B a tick, so no tuple
     outlives its tick.
     """
-    book = init_book(config)
+    book = OrderBook(config)
     bid0, ask0 = book.bid, book.ask
-    sampler = AgentSampler(config.collision_probability, config.seed)
+    sampler = AgentSampler(config)
     outcomes = np.fromiter(
         chain.from_iterable(map(step, repeat(book), repeat(sampler), range(config.steps))),
         float, 5 * config.steps).reshape(-1, 5)

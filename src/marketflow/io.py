@@ -55,7 +55,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> SimC
     """Defaults, then file values, then explicit overrides."""
     values = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # skips a BOM
             values.update(parse_config_lines(fh, source=path))
     if overrides:
         for key, val in overrides.items():

@@ -18,7 +18,7 @@ from statistics import pvariance
 import numpy as np
 import pytest
 
-from marketflow.book import Side, init_book, reconcile
+from marketflow.book import OrderBook, Side, reconcile
 from marketflow.cli import main
 from marketflow.config import SimConfig
 from marketflow.engine import run
@@ -152,11 +152,12 @@ def test_criterion_03_kernel_pin_and_quadrature():
 
 
 def test_criterion_04_sampling_frequencies_within_three_sigma():
-    book = init_book(BASE)
+    book = OrderBook(BASE)
     n = 100_000
     failures = []
     for p in (0.15, 0.5, 0.99):
-        sampler = AgentSampler(p, seed=1000 + int(p * 100))
+        sampler = AgentSampler(replace(BASE, collision_probability=p,
+                                       seed=1000 + int(p * 100)))
         collisions = 0
         buys = 0
         level_counts = {(side, best + step * i): 0

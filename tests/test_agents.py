@@ -10,38 +10,36 @@ import numpy as np
 import pytest
 
 from marketflow.agents import BLOCK, GENERATOR_NAME, AgentSampler
-from marketflow.book import Side, init_book
+from marketflow.book import OrderBook, Side
 from marketflow.config import SimConfig
 from reference import size_at
 
 
 def _static_book():
-    return init_book(SimConfig())
+    return OrderBook(SimConfig())
+
+
+def _sampler(p, seed):
+    return AgentSampler(SimConfig(collision_probability=p, seed=seed))
 
 
 def test_generator_identity_is_recorded():
     assert GENERATOR_NAME == "numpy PCG64"
 
 
-def test_rejects_probability_outside_unit_interval():
-    for p in (-0.01, 1.01):
-        with pytest.raises(ValueError):
-            AgentSampler(p)
-
-
 def test_same_seed_same_agents():
     book = _static_book()
     draws = []
     for _ in range(2):
-        sampler = AgentSampler(0.4, seed=42)
+        sampler = _sampler(0.4, 42)
         draws.append([sampler.sample(book) for _ in range(100)])
     assert draws[0] == draws[1]
 
 
 def test_different_seeds_differ():
     book = _static_book()
-    a = AgentSampler(0.4, seed=1)
-    b = AgentSampler(0.4, seed=2)
+    a = _sampler(0.4, 1)
+    b = _sampler(0.4, 2)
     seq_a = [a.sample(book)[:2] for _ in range(50)]
     seq_b = [b.sample(book)[:2] for _ in range(50)]
     assert seq_a != seq_b
@@ -49,7 +47,7 @@ def test_different_seeds_differ():
 
 def test_side_frequency_is_balanced():
     book = _static_book()
-    sampler = AgentSampler(0.5, seed=7)
+    sampler = _sampler(0.5, 7)
     n = 10_000
     buys = sum(sampler.sample(book)[0] is Side.BUY for _ in range(n))
     sigma = math.sqrt(0.25 / n)
@@ -58,7 +56,7 @@ def test_side_frequency_is_balanced():
 
 def test_prices_stay_in_the_sample_space():
     book = _static_book()
-    sampler = AgentSampler(0.3, seed=9)
+    sampler = _sampler(0.3, 9)
     for _ in range(2000):
         side, price, _ = sampler.sample(book)
         if side is Side.BUY:
@@ -72,7 +70,7 @@ def test_prices_stay_in_the_sample_space():
 @pytest.mark.parametrize("p", [0.15, 0.99])
 def test_collision_frequency_tracks_the_probability(p):
     book = _static_book()
-    sampler = AgentSampler(p, seed=23)
+    sampler = _sampler(p, 23)
     n = 10_000
     hits = 0
     for _ in range(n):
@@ -85,7 +83,7 @@ def test_collision_frequency_tracks_the_probability(p):
 
 def test_zero_probability_never_collides_and_levels_are_uniform():
     book = _static_book()
-    sampler = AgentSampler(0.0, seed=31)
+    sampler = _sampler(0.0, 31)
     n = 10_000
     counts = {}
     for _ in range(n):
@@ -103,7 +101,7 @@ def test_zero_probability_never_collides_and_levels_are_uniform():
 
 def test_size_is_the_kernel_value_at_the_price():
     book = _static_book()
-    sampler = AgentSampler(0.5, seed=3)
+    sampler = _sampler(0.5, 3)
     for _ in range(200):
         _, price, size = sampler.sample(book)
         assert size == size_at(price, book.bid, book.ask, 2000.0, 10.0)
@@ -113,7 +111,7 @@ def test_size_is_the_kernel_value_at_the_price():
 def test_collision_size_pin():
     # at the reference configuration the best-quote size is about 0.7148
     book = _static_book()
-    sampler = AgentSampler(1.0, seed=0)
+    sampler = _sampler(1.0, 0)
     _, price, size = sampler.sample(book)
     assert price in (book.bid, book.ask)
     assert abs(size - 0.7148) < 5e-5
@@ -132,7 +130,7 @@ def test_agents_match_numpy_scalar_draws(p):
     # random() for the collision, integers(0, 10) for the depth.
     book = _static_book()
     for seed in (0, 1, 7, 42, 12345, 2**31 + 5, 2**32 - 1, 2**64 + 3):
-        sampler = AgentSampler(p, seed=seed)
+        sampler = _sampler(p, seed)
         rng = np.random.default_rng(seed)
         for _ in range(3 * BLOCK):  # 2-3 words a tick: six blocks or more
             side = Side.BUY if rng.random() < 0.5 else Side.SELL
@@ -152,7 +150,7 @@ def test_rejected_draws_take_the_next_32_bits():
     # gives depth 2. Each 32-bit draw is the low half of a fresh word,
     # and its high half is kept for the next one, rejected or not.
     book = _static_book()
-    sampler = AgentSampler(0.0, seed=0)
+    sampler = _sampler(0.0, 0)
     words = iter([
         0, 0,                              # tick 1: buy, no collision
         429496730 << 32 | 0,               # reject low 0, reject kept high
@@ -176,7 +174,7 @@ def test_collision_threshold_is_exact_at_its_boundary(p):
     threshold = math.ceil(p * 2**53) << 11
     decisions = []
     for x in (threshold - 1, threshold):
-        sampler = AgentSampler(p, seed=0)
+        sampler = _sampler(p, 0)
         sampler._next_word = iter([2**63 - 1, x, 858993460]).__next__  # depth 2
         side, price, _ = sampler.sample(book)
         assert side is Side.BUY

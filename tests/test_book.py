@@ -12,7 +12,6 @@ from marketflow.book import (
     OrderBook,
     Side,
     apply_order,
-    init_book,
     reconcile,
 )
 from marketflow.config import SimConfig
@@ -22,7 +21,7 @@ from reference import size_at
 
 
 def _book(**kwargs):
-    return init_book(SimConfig(**kwargs))
+    return OrderBook(SimConfig(**kwargs))
 
 
 def _assert_weights_exact(book):
@@ -61,11 +60,11 @@ class TestInitBook:
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
-            init_book(SimConfig(initial_spread=0))
+            OrderBook(SimConfig(initial_spread=0))
         with pytest.raises(ValueError):
-            init_book(SimConfig(initial_bid=0))
+            OrderBook(SimConfig(initial_bid=0))
         # one weight per tick of spread: the list is bounded with the spread
-        _assert_weights_exact(init_book(SimConfig(initial_spread=2**16)))
+        _assert_weights_exact(OrderBook(SimConfig(initial_spread=2**16)))
         with pytest.raises(ValueError, match="initial_spread must be <= 65536"):
             SimConfig(initial_spread=2**16 + 1)
 
@@ -202,8 +201,8 @@ class TestCheck:
 class TestSpreadDirection:
     def test_spread_never_narrows(self):
         config = SimConfig(collision_probability=0.7, seed=5)
-        book = init_book(config)
-        sampler = AgentSampler(0.7, seed=5)
+        book = OrderBook(config)
+        sampler = AgentSampler(config)
         spread = book.ask - book.bid
         for _ in range(400):
             apply_order(book, sampler.sample(book))
@@ -216,8 +215,8 @@ class TestLedger:
     def test_reconciles_exactly_after_random_traffic(self):
         for seed in (0, 1, 2):
             config = SimConfig(collision_probability=0.5, seed=seed)
-            book = init_book(config)
-            sampler = AgentSampler(0.5, seed=seed)
+            book = OrderBook(config)
+            sampler = AgentSampler(config)
             for _ in range(300):
                 apply_order(book, sampler.sample(book))
             assert reconcile(book)
@@ -286,11 +285,9 @@ class TestLedger:
 
     @pytest.mark.parametrize("bid,ask", [(3682, 3682), (3690, 3682)])
     def test_crossed_starting_book_fails(self, bid, ask):
-        # SimConfig and OrderBook reject such a book; a journal edited to
-        # start crossed, with the live book set to match it, must fail
-        with pytest.raises(DegenerateBookError,
-                           match=f"^book is crossed: bid {bid} >= ask {ask}$"):
-            OrderBook(bid, ask, 2000.0, 10.0)
+        # SimConfig's initial_spread >= 1 rules out such a book; a journal
+        # edited to start crossed, with the live book set to match it,
+        # must fail
         book = _book()
         book.bid, book.ask = bid, ask
         book.journal = (

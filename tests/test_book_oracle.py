@@ -26,7 +26,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import event, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from marketflow.book import Side, apply_order, init_book, reconcile
+from marketflow.book import OrderBook, Side, apply_order, reconcile
 from marketflow.config import SimConfig
 from marketflow.physics import DegenerateBookError
 
@@ -194,7 +194,7 @@ class BookMachine(RuleBasedStateMachine):
         """A fresh book, and agents, so that the first corruption finds
         more than the inits."""
         config = SimConfig(initial_bid=bid, initial_spread=spread)
-        self.book = init_book(config)
+        self.book = OrderBook(config)
         self.model = Model(bid, bid + spread, config.m, config.h)
         self.act(agents)
 

@@ -95,6 +95,18 @@ def test_simulate_svg_reruns_to_the_same_bytes(tmp_path, flags):
         assert_same((outs[0] / name).read_bytes(), (outs[1] / name).read_bytes(), name)
 
 
+def test_negative_zero_probability_writes_the_bytes_of_zero(tmp_path):
+    # -0.0 == 0.0, so the run is the same; its header echo and its
+    # p / (1 - p) Reynolds factor must not print a minus sign either
+    outs = {p: tmp_path / p for p in ("-0.0", "0")}
+    for p, out in outs.items():
+        assert main(["simulate", "--steps", "60", "--collision-probability", p,
+                     "--svg", "--out", str(out)]) == 0
+    for name in ("series.csv", "series.svg"):
+        assert_same((outs["-0.0"] / name).read_bytes(),
+                    (outs["0"] / name).read_bytes(), name)
+
+
 def test_flag_overrides_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("steps = 450\nseed = 1\n")

@@ -10,7 +10,7 @@ import pytest
 
 from marketflow import engine
 from marketflow.agents import AgentSampler
-from marketflow.book import Side, apply_order, init_book, reconcile
+from marketflow.book import OrderBook, Side, apply_order, reconcile
 from marketflow.config import SimConfig
 from marketflow.engine import run, smooth_series, smooth_viscosity
 from marketflow.physics import DegenerateBookError, FlowRegime, TickRecord
@@ -211,6 +211,7 @@ class TestRun:
         *[("h", h) for h in (0.0, -1.0, math.inf, math.nan)],
         ("smoothing_window", 0),
         *[("viscosity_clamp", clamp) for clamp in (0.0, -1.0, math.nan)],
+        *[("collision_probability", p) for p in (-0.01, 1.01, math.nan)],
     ])
     def test_rejects_a_value_out_of_range(self, name, value):
         with pytest.raises(ValueError, match=f"^{name}"):
@@ -277,8 +278,8 @@ def _scalar_ticks(config):
     come from the live quotes before and after each `apply_order`, and
     the collision flag from the matching rule, an agent priced at the
     pre-trade opposite best."""
-    book = init_book(config)
-    sampler = AgentSampler(config.collision_probability, config.seed)
+    book = OrderBook(config)
+    sampler = AgentSampler(config)
     p = config.collision_probability
     ticks = []
     for t in range(config.steps):
@@ -383,7 +384,7 @@ class TestStepIsThePatchPoint:
         monkeypatch.setattr(engine, "step", recording_step)
         config = SimConfig(collision_probability=0.5, steps=steps, seed=1)
         columns = run(config).columns
-        book = init_book(config)
+        book = OrderBook(config)
         want = engine._readout(np.array(outcomes, dtype=float), book.bid, book.ask,
                                config.collision_probability)
         assert len(outcomes) == steps

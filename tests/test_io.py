@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from marketflow.book import init_book
+from marketflow.book import OrderBook
 from marketflow.config import SimConfig
 from marketflow.engine import SeriesBundle, run
 from marketflow.io import (
@@ -55,6 +55,12 @@ class TestParseConfig:
         path.write_text("steps = 450\n")
         config = parse_config(str(path), {"steps": 10})
         assert config.steps == 10
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # editors on Windows may save UTF-8 with a BOM before the first key
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbfseed = 3\n")
+        assert parse_config(str(path)) == SimConfig(seed=3)
 
     def test_unknown_key_is_named(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -227,7 +233,7 @@ class TestSvg:
         empty = SeriesBundle(columns={f.name: np.empty(0) for f in fields(TickRecord)},
                              smoothed_mu=[], smoothed_reynolds=[],
                              config=config,
-                             final_book=init_book(config))
+                             final_book=OrderBook(config))
         markup = series_figure(empty)
         xml.dom.minidom.parseString(markup)
         for label in ("(a)", "(b)", "(c)", "(d)", "(e)", "(f)"):

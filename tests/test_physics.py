@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from marketflow.book import Side, apply_order, init_book
+from marketflow.book import OrderBook, Side, apply_order
 from marketflow.config import SimConfig
 from marketflow.physics import (
     REGIMES,
@@ -159,7 +159,7 @@ class TestCollisionRatio:
         # every level sits at price >= 1, so an obstacle notional is a
         # positive size times a price >= 1; the full fill that would put
         # a buy level at price 0 raises and leaves the book untouched
-        book = init_book(SimConfig(initial_bid=11))
+        book = OrderBook(SimConfig(initial_bid=11))
         _, obstacle_notional, order_notional, _, _ = \
             apply_order(book, (Side.SELL, 11, book.buy_sizes[0]))
         assert book.bid - (len(book.buy_sizes) - 1) == 1

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from marketflow import io, svg
-from marketflow.book import init_book
+from marketflow.book import OrderBook
 from marketflow.cli import main
 from marketflow.config import SimConfig
 from marketflow.engine import SeriesBundle, run
@@ -90,7 +90,7 @@ def test_infinities_are_spelled_inf_and_nan_stays_nan(tmp_path):
                for f, value in zip(fields(TickRecord), row)}
     bundle = SeriesBundle(columns=columns, smoothed_mu=[-math.inf],
                           smoothed_reynolds=[math.nan], config=config,
-                          final_book=init_book(config))
+                          final_book=OrderBook(config))
     path = tmp_path / "series.csv"
     write_series_csv(bundle, str(path))
     row = path.read_text().splitlines()[-1]
