@@ -165,14 +165,17 @@ def formatted(values, fmt: str) -> np.ndarray:
         above = high
 
     big = ~(small | named)
-    texts = words([(fmt % v).encode() for v in values[big].tolist()], len(columns))
-    rows = np.zeros((len(x), texts.shape[1]), dtype=np.uint32)
+    texts = (words([(fmt % v).encode() for v in values[big].tolist()], len(columns))
+             if big.any() else None)
+    rows = np.zeros((len(x), len(columns) if texts is None else texts.shape[1]),
+                    dtype=np.uint32)
     for j, column in enumerate(columns):
         rows[:, j] = column
     if named.any():
         spelled = words([b"inf" + suffix, b"nan" + suffix], len(columns) - body)
         rows[named, body:len(columns)] = spelled[np.isnan(x[named]).astype(int)]
-    rows[big] = texts
+    if texts is not None:
+        rows[big] = texts
     return rows
 
 

@@ -61,10 +61,12 @@ def _polyline(ts, ys, t_range, y_range, x0, y0, color):
     keep = np.isfinite(ys)
     if not keep.any():
         return ""
+    if not keep.all():
+        ts, ys = ts[keep], ys[keep]
     inner_w, inner_h = PANEL_W - PAD_L - PAD_R, PANEL_H - PAD_T - PAD_B
     points = joined(np.concatenate(
-        (formatted(_scale(ts[keep], t_range, x0 + PAD_L, inner_w), "%.2f,"),
-         formatted(_scale(ys[keep], y_range, y0 + PANEL_H - PAD_B, -inner_h), "%.2f ")),
+        (formatted(_scale(ts, t_range, x0 + PAD_L, inner_w), "%.2f,"),
+         formatted(_scale(ys, y_range, y0 + PANEL_H - PAD_B, -inner_h), "%.2f ")),
         axis=1))
     return (f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
             f'points="{points[:-1].decode()}"/>')

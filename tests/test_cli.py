@@ -7,7 +7,7 @@ import pytest
 from marketflow import sweep
 from marketflow.cli import build_parser, main
 from marketflow.config import SimConfig
-from marketflow.io import parse_series_header
+from marketflow.io import _BLOCK, parse_series_header
 from same import assert_same
 
 
@@ -81,15 +81,18 @@ def test_simulate_svg_flag(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--window", "200"],
-                                   ["--collision-probability", "1.0", "--window", "1"]],
+                                   ["--collision-probability", "1.0", "--window", "1",
+                                    "--seed", "1", "--bid", "20000"]],
                          ids=["window-200", "P1-window-1"])
 def test_simulate_svg_reruns_to_the_same_bytes(tmp_path, flags):
-    # criterion 9 with both writers: 4097 ticks cross series.csv's two
-    # 2048-row block seams; at P = 1 and window 1 infinities and finite
-    # values meet at those seams
+    # criterion 9 with both writers: 2 * _BLOCK + 1 ticks cross series.csv's
+    # two block seams; at P = 1 and window 1 infinities and finite values
+    # meet in one file, and from bid 20000 seed 1 stays above the price
+    # floor that long
+    steps = str(2 * _BLOCK + 1)
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
-        assert main(["simulate", "--steps", "4097", *flags, "--svg",
+        assert main(["simulate", "--steps", steps, *flags, "--svg",
                      "--out", str(out)]) == 0
     for name in ("series.csv", "series.svg"):
         assert_same((outs[0] / name).read_bytes(), (outs[1] / name).read_bytes(), name)

@@ -149,20 +149,24 @@ SERIES_CELLS = (("t", "%d"), ("bid", "%d"), ("ask", "%d"), ("mid", "%.6f"),
 
 
 def test_series_csv_cells_match_the_scalar_formula(tmp_path):
-    # P = 1 at window 1 mixes finite and infinite values, and both
-    # 2048-row block seams fall between two infinite rows
-    assert main(["simulate", "--collision-probability", "1.0", "--window", "1",
-                 "--steps", "4097", "--out", str(tmp_path)]) == 0
+    # P = 1 at window 1 mixes finite and infinite values; from bid 20000,
+    # seed 1 stays above the price floor for 2 * _BLOCK + 1 ticks, and
+    # both block seams fall between two infinite rows
+    steps = 2 * _BLOCK + 1
+    assert main(["simulate", "--seed", "1", "--bid", "20000",
+                 "--collision-probability", "1.0", "--window", "1",
+                 "--steps", str(steps), "--out", str(tmp_path)]) == 0
     path = str(tmp_path / "series.csv")
     bundle = run(parse_series_header(path))
     series = {**bundle.columns, "smoothed_mu": bundle.smoothed_mu,
               "smoothed_reynolds": bundle.smoothed_reynolds}
     for seam in (_BLOCK, 2 * _BLOCK):
-        assert np.isinf(series["smoothed_reynolds"][seam - 1:seam + 1]).all()
+        at_seam = series["smoothed_reynolds"][seam - 1:seam + 1]
+        assert len(at_seam) == 2 and np.isinf(at_seam).all(), seam
     with open(path) as fh:
         rows = [line.rstrip("\n").split(",") for line in fh if not line.startswith("#")]
     assert rows[0] == SERIES_COLUMNS.split(",")
-    assert len(rows) == 1 + 4097
+    assert len(rows) == 1 + steps
     cells = [[(fmt % v).replace("-inf", "inf") for v in series[name].tolist()]
              for name, fmt in SERIES_CELLS]
     regimes = [REGIMES[i].value for i in series["regime"].tolist()]

@@ -22,6 +22,7 @@ format every row and every point on its own, at each block seam.
 import hashlib
 import math
 import os
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -96,6 +97,49 @@ def test_infinities_are_spelled_inf_and_nan_stays_nan(tmp_path):
     row = path.read_text().splitlines()[-1]
     assert row == ("0,10,12,11.000000,inf,inf,2,nan,0.000000,inf,inf,"
                    "inf,nan,laminar")
+
+
+def _hand_bundle(steps):
+    """A bundle of `steps` ticks built by hand, every cell finite: integer
+    columns count up, the others are uniform in (-1000, 1000)."""
+    rng = np.random.default_rng(steps)
+    config = SimConfig(steps=steps)
+    columns = {f.name: rng.uniform(-1e3, 1e3, steps) for f in fields(TickRecord)}
+    for name in ("t", "bid", "ask", "spread"):
+        columns[name] = np.arange(steps)
+    columns["regime"] = rng.integers(len(REGIMES), size=steps)
+    return SeriesBundle(columns=columns, smoothed_mu=rng.uniform(-1e3, 1e3, steps),
+                        smoothed_reynolds=rng.uniform(-1e3, 1e3, steps),
+                        config=config, final_book=OrderBook(config))
+
+
+def test_a_minus_inf_in_the_last_block_is_written_inf(tmp_path):
+    # the run's only -inf is in its third block, so a writer that looked
+    # for one in the first block alone would leave it as "-inf"
+    bundle = _hand_bundle(2 * _BLOCK + 1)
+    bundle.columns["ret"][-1] = -math.inf
+    path = tmp_path / "series.csv"
+    write_series_csv(bundle, str(path))
+    text = path.read_bytes()
+    assert b"-inf" not in text
+    assert text.splitlines()[-1].split(b",")[4] == b"inf"
+
+
+def test_the_writer_peak_does_not_grow_with_the_run(tmp_path):
+    # series.csv is streamed in blocks, so twice the ticks must not raise
+    # the writer's peak by more than 10%; an O(n) writer would double it
+    peaks = []
+    for steps in (4 * _BLOCK, 8 * _BLOCK):
+        bundle = _hand_bundle(steps)
+        path = str(tmp_path / f"{steps}.csv")
+        write_series_csv(bundle, path)  # the first call fills numfmt's caches
+        tracemalloc.start()
+        try:
+            write_series_csv(bundle, path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 def test_points_are_the_doubles_of_the_scalar_formula():
