@@ -14,8 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import Counter
-from operator import itemgetter
 
 from .config import CONFIG_FIELDS, SimConfig
 from .engine import run
@@ -82,10 +80,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"simulate: {config.steps} ticks, final spread {book.ask - book.bid}, "
           f"final smoothed viscosity {bundle.smoothed_mu[-1]:.6f}, "
           f"final smoothed Reynolds {bundle.smoothed_reynolds[-1]:.6f}")
-    # The journal's tags count the events, after the run: no tick cost.
-    tags = Counter(map(itemgetter(0), book.journal))
-    print(f"simulate: events {tags['passive']} passive, {tags['trade']} partial, "
-          f"{tags['consume']} full, {tags['residual']} residual")
+    # The events, counted after the run with no pass over the journal:
+    # a tick rested exactly when its volume is 0 (every agent size is at
+    # least m * W(9; h) > 0), each full fill widens the spread by one
+    # tick and nothing narrows it, and the journal holds 20 `init`
+    # entries, one entry per tick, a `regen` per full fill and the
+    # residuals.
+    passive = int((bundle.columns["volume"] == 0.0).sum())
+    full = book.ask - book.bid - config.initial_spread
+    residual = len(book.journal) - 20 - config.steps - full
+    print(f"simulate: events {passive} passive, {config.steps - passive - full} partial, "
+          f"{full} full, {residual} residual")
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -164,6 +164,13 @@ def formatted(values, fmt: str) -> np.ndarray:
         columns.append(table[high - above * count])  # high % count
         above = high
 
+    if named.any():  # each word column after the sign spells inf, or nan
+        nan = np.isnan(x)
+        has_nan = nan.any()
+        spelled = words([b"inf" + suffix, b"nan" + suffix], len(columns) - body)
+        for j, (inf_word, nan_word) in enumerate(spelled.T, body):
+            column = np.where(named, inf_word, columns[j])
+            columns[j] = np.where(nan, nan_word, column) if has_nan else column
     big = ~(small | named)
     texts = (words([(fmt % v).encode() for v in values[big].tolist()], len(columns))
              if big.any() else None)
@@ -171,9 +178,6 @@ def formatted(values, fmt: str) -> np.ndarray:
                     dtype=np.uint32)
     for j, column in enumerate(columns):
         rows[:, j] = column
-    if named.any():
-        spelled = words([b"inf" + suffix, b"nan" + suffix], len(columns) - body)
-        rows[named, body:len(columns)] = spelled[np.isnan(x[named]).astype(int)]
     if texts is not None:
         rows[big] = texts
     return rows

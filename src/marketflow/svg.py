@@ -1,7 +1,9 @@
 """Static SVG figures for runs and surfaces.
 
-Charts are assembled as plain strings with fixed two-decimal
-coordinates, so the same input always yields byte-identical markup.
+A figure is a sequence of markup parts in file order, with fixed
+two-decimal coordinates, so the same input always yields byte-identical
+markup; `write_svg` writes each part as it is drawn, so a series figure
+is never held whole.
 Series coordinates are computed with numpy, one array operation per
 step of the scalar formula and in Python's operation order; numpy's
 elementwise float64 arithmetic rounds like Python's, so every
@@ -13,10 +15,12 @@ The CSV files stay canonical; these figures are a quick visual check.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from .engine import SeriesBundle
-from .io import _atomic_write
+from .io import _atomic_write_chunks
 from .numfmt import formatted, joined
 from .sweep import SurfaceGrid
 
@@ -55,18 +59,19 @@ def _scale(values, value_range, origin, span):
     return origin + (values - lo) / (hi - lo) * span
 
 
-def _polyline(ts, ys, t_range, y_range, x0, y0, color):
-    """The ticks with a finite y as one polyline in a panel at (x0, y0);
-    ticks are integers, so every x is finite."""
+def _polyline(x_words, ys, y_range, y0, color):
+    """The ticks with a finite y as one polyline in a panel at height y0;
+    `x_words` holds the `formatted` x text of every tick, which is the
+    same for each panel of a column. Ticks are integers, so every x is
+    finite."""
     keep = np.isfinite(ys)
     if not keep.any():
         return ""
     if not keep.all():
-        ts, ys = ts[keep], ys[keep]
-    inner_w, inner_h = PANEL_W - PAD_L - PAD_R, PANEL_H - PAD_T - PAD_B
+        x_words, ys = x_words[keep], ys[keep]
+    inner_h = PANEL_H - PAD_T - PAD_B
     points = joined(np.concatenate(
-        (formatted(_scale(ts, t_range, x0 + PAD_L, inner_w), "%.2f,"),
-         formatted(_scale(ys, y_range, y0 + PANEL_H - PAD_B, -inner_h), "%.2f ")),
+        (x_words, formatted(_scale(ys, y_range, y0 + PANEL_H - PAD_B, -inner_h), "%.2f ")),
         axis=1))
     return (f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
             f'points="{points[:-1].decode()}"/>')
@@ -109,22 +114,21 @@ def _depth_panel(bundle, x0, y0):
     return "".join(parts)
 
 
-def _series_panel(ts, t_range, caption, x0, y0, *lines):
-    """A panel at (x0, y0) with one polyline per (ys, color), each drawn on
-    its own `_axis_range`. The labels give `_axis_range` of all the
-    lines together, which for one line is that line's own range.
+def _series_panel(x_words, caption, x0, y0, *lines):
+    """The parts of a panel at (x0, y0) with one polyline per (ys, color),
+    each drawn on its own `_axis_range` over the column's `x_words`. The
+    labels give `_axis_range` of all the lines together, which for one
+    line is that line's own range.
 
     For the two quotes of panel (d) the drawn and labelled ranges differ
     (see the panel (d) FOUND in CHANGES.md): drawing every line on the
     labelled range would fix it, and change the pinned bytes.
     """
     lines = [(np.asarray(ys, dtype=float), color) for ys, color in lines]
-    return "".join((
-        _panel_frame(x0, y0, caption),
-        *[_polyline(ts, ys, t_range, _axis_range(ys), x0, y0, color)
-          for ys, color in lines],
-        _range_labels(x0, y0, _axis_range(np.concatenate([ys for ys, _ in lines]))),
-    ))
+    yield _panel_frame(x0, y0, caption)
+    for ys, color in lines:
+        yield _polyline(x_words, ys, _axis_range(ys), y0, color)
+    yield _range_labels(x0, y0, _axis_range(np.concatenate([ys for ys, _ in lines])))
 
 
 def _svg_head(width, height):
@@ -133,13 +137,18 @@ def _svg_head(width, height):
             f'<rect width="{width}" height="{height}" fill="#fafafa"/>')
 
 
-def series_figure(bundle: SeriesBundle) -> str:
+def series_figure(bundle: SeriesBundle) -> Iterator[str]:
     """Six panels: book depth, mid price, smoothed viscosity, bid/ask,
-    returns, smoothed Reynolds number. A bundle with no ticks, which
-    `run` never returns, gives five empty series panels."""
+    returns, smoothed Reynolds number, as markup parts in file order,
+    each drawn when it is asked for. A bundle with no ticks, which `run`
+    never returns, gives five empty series panels."""
     columns = bundle.columns
     ts = np.asarray(columns["t"], dtype=float)
     t_range = _axis_range(ts)  # the x axis of every series panel
+    inner_w = PANEL_W - PAD_L - PAD_R
+    # each panel column's x text, formatted once for all its panels
+    x_words = {x0: formatted(_scale(ts, t_range, x0 + PAD_L, inner_w), "%.2f,")
+               for x0 in (0, PANEL_W)}
     panels = (
         ("(b) mid price", PANEL_W, 0, (columns["mid"], "#333333")),
         ("(c) smoothed viscosity", 0, PANEL_H, (bundle.smoothed_mu, "#7048b0")),
@@ -149,9 +158,11 @@ def series_figure(bundle: SeriesBundle) -> str:
         ("(f) smoothed Reynolds number", PANEL_W, 2 * PANEL_H,
          (bundle.smoothed_reynolds, "#b07a1e")),
     )
-    return "".join((_svg_head(2 * PANEL_W, 3 * PANEL_H), _depth_panel(bundle, 0, 0),
-                    *[_series_panel(ts, t_range, *panel) for panel in panels],
-                    "</svg>"))
+    yield _svg_head(2 * PANEL_W, 3 * PANEL_H)
+    yield _depth_panel(bundle, 0, 0)
+    for caption, x0, y0, *lines in panels:
+        yield from _series_panel(x_words[x0], caption, x0, y0, *lines)
+    yield "</svg>"
 
 
 def _heat_color(frac: float) -> str:
@@ -162,8 +173,9 @@ def _heat_color(frac: float) -> str:
     return f"rgb({r},{g},{b})"
 
 
-def surface_figure(grid: SurfaceGrid) -> str:
-    """Heatmap of a Reynolds surface, probability on the vertical axis."""
+def surface_figure(grid: SurfaceGrid) -> list[str]:
+    """Heatmap of a Reynolds surface, probability on the vertical axis,
+    as a list of markup parts in file order."""
     cell_w = max(4.0, 560.0 / max(len(grid.x_axis), 1))
     cell_h = max(3.0, 420.0 / max(len(grid.y_axis), 1))
     width = round(cell_w * len(grid.x_axis)) + 90
@@ -199,8 +211,11 @@ def surface_figure(grid: SurfaceGrid) -> str:
         f'fill="#555">p = {p_hi:g}</text>',
         "</svg>",
     ]
-    return "".join(parts)
+    return parts
 
 
-def write_svg(markup: str, path: str) -> None:
-    _atomic_write(path, markup)
+def write_svg(parts, path: str) -> None:
+    """Write the markup parts of a figure to `path` atomically, each
+    encoded and written before the next is asked for; a figure that
+    raises midway leaves `path` as it was."""
+    _atomic_write_chunks(path, map(str.encode, parts))

@@ -1,12 +1,14 @@
 """End-to-end tests of the command line interface."""
 
 import re
+from collections import Counter
 
 import pytest
 
-from marketflow import sweep
+from marketflow import cli, sweep
 from marketflow.cli import build_parser, main
 from marketflow.config import SimConfig
+from marketflow.engine import run
 from marketflow.io import _BLOCK, parse_series_header
 from same import assert_same
 
@@ -63,6 +65,28 @@ def test_simulate_prints_the_event_counts(tmp_path, capsys):
     # rides on a full fill
     assert passive + partial + full == 300
     assert passive > 0 and partial > 0 and 0 < residual <= full
+
+
+@pytest.mark.parametrize("steps", (1, 450, 3000))
+@pytest.mark.parametrize("spread", (1, 20))
+@pytest.mark.parametrize("p", (0.0, 0.15, 0.5, 0.99, 1.0))
+def test_event_counts_are_the_journal_tags(tmp_path, capsys, monkeypatch,
+                                           p, spread, steps):
+    # simulate counts the events from the columns and the journal's
+    # length; the journal's own tags must give the same four counts
+    bundles = []
+
+    def recorded(config):
+        bundles.append(run(config))
+        return bundles[-1]
+
+    monkeypatch.setattr(cli, "run", recorded)
+    assert main(["simulate", "--out", str(tmp_path), "--steps", str(steps),
+                 "--collision-probability", str(p), "--spread", str(spread)]) == 0
+    tags = Counter(entry[0] for entry in bundles[0].final_book.journal)
+    assert (f"simulate: events {tags['passive']} passive, {tags['trade']} partial, "
+            f"{tags['consume']} full, {tags['residual']} residual\n"
+            in capsys.readouterr().out)
 
 
 def test_price_floor_is_a_typed_error_and_writes_nothing(tmp_path, capsys):
