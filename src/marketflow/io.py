@@ -6,9 +6,9 @@ file alone suffices to reproduce itself. Files are written to a
 temporary sibling and renamed into place; a write that raises removes
 the sibling and leaves the old file as it was.
 
-The per-run writers format whole columns at once with
-`numfmt.formatted`, whose bytes are those of `%` applied to each value
-on its own, and join the results as bytes.
+`series.csv` is formatted and joined a block of whole columns at a
+time by `numfmt`, whose text is that of `%` applied to each value on
+its own, with every infinity spelled `inf`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import __version__
 from .agents import GENERATOR_NAME
 from .config import CONFIG_FIELDS, SimConfig, coerce_field
 from .engine import SeriesBundle
-from .numfmt import formatted, words
+from .numfmt import formatted, joined, words
 from .physics import REGIMES
 from .sweep import RunSummary, SurfaceGrid
 
@@ -131,20 +131,6 @@ def _atomic_write(path: str, text: str) -> None:
 _BLOCK = 4096
 
 
-def _block_text(cells: list, minus_inf: bool) -> bytes:
-    """The text of one block from its `formatted` columns, which are
-    dropped (`cells` is emptied) once the row matrix is made; the matrix
-    is dropped once its bytes are copied, so at most two copies of the
-    block are held at once."""
-    rows = np.concatenate(cells, axis=1)
-    cells.clear()
-    text = rows.tobytes()
-    del rows
-    text = text.translate(None, b"\0")
-    # %.6f keeps the sign of -inf; no other cell can hold "-inf"
-    return text.replace(b"-inf", b"inf") if minus_inf else text
-
-
 def _series_text(bundle: SeriesBundle):
     """series.csv's header, then its rows, one block at a time, as bytes."""
     yield "\n".join(metadata_header(bundle.config) + [SERIES_COLUMNS, ""]).encode()
@@ -153,16 +139,13 @@ def _series_text(bundle: SeriesBundle):
               for _, source in _SERIES]
     # integer columns as whole numbers: %.0f spells an int below 2**53 exactly
     formats = ["%.0f," if values.dtype.kind == "i" else "%.6f," for values in series]
-    # only a float column can hold -inf, so only those are scanned for it
-    minus_inf = any(np.isneginf(values).any() for values in series
-                    if values.dtype.kind == "f")
     names = words([(regime.value + "\n").encode() for regime in REGIMES])
     regimes = columns["regime"]
     for lo in range(0, len(regimes), _BLOCK):
         cut = slice(lo, lo + _BLOCK)
         cells = [formatted(values[cut], fmt) for values, fmt in zip(series, formats)]
         cells.append(names[regimes[cut]])
-        yield _block_text(cells, minus_inf)
+        yield joined(cells)
 
 
 def write_series_csv(bundle: SeriesBundle, path: str) -> None:

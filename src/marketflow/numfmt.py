@@ -1,9 +1,10 @@
 """Exact `%` formatting of numeric columns with numpy.
 
 `formatted` gives, for each entry of an array, the bytes that `fmt % v`
-gives, as one row of uint32 words, and `joined` turns such rows into
-text. The writers in `io` and `svg` format whole columns with them, with
-no Python call per value.
+gives, except that every infinity is `inf`, as one row of uint32 words;
+`joined` sets such word matrices side by side and turns their rows into
+text. The writers in `io` and `svg` format and join whole columns with
+them, with no Python call per value.
 """
 
 from __future__ import annotations
@@ -108,9 +109,10 @@ def _integer_words(n) -> list:
 
 
 def formatted(values, fmt: str) -> np.ndarray:
-    """`fmt % v` for each entry v of a 1-D array, as one row of uint32
-    words per entry whose non-zero bytes, in memory order, are the text.
-    `joined` turns rows into their texts.
+    """`fmt % v` for each entry v of a 1-D array, except that every
+    infinity is `inf`, as one row of uint32 words per entry whose
+    non-zero bytes, in memory order, are the text. `joined` turns rows
+    into their texts.
 
     `fmt` is one `%.Nf` conversion with literal text after it, as every
     writer's format is; any other raises `ValueError`. Where
@@ -122,10 +124,10 @@ def formatted(values, fmt: str) -> np.ndarray:
       n + 1/2 that p is not. Only where p is one does the sign of the
       product's exact error (`_product_error`) settle the tie;
     - the sign comes from the sign bit, so -0.0 and a negative value
-      that rounds to zero keep their "-", and NaN never gets one;
-    - the infinities and NaN are spelled `inf`, `-inf` and `nan`.
+      that rounds to zero keep their "-".
 
-    Every other value goes through `%` one value at a time.
+    NaN, and every value past the bound, go through `%` one value at a
+    time.
     """
     values = np.asarray(values)
     places, suffix, tail = _layout(fmt)
@@ -147,8 +149,8 @@ def formatted(values, fmt: str) -> np.ndarray:
     if len(ties):
         error = _product_error(mag[ties], scale, p[ties])
         k[ties] += (error > 0.0) | (error == 0.0) & (k[ties] % 2 == 1)
-    minus = np.signbit(x) & ~np.isnan(x)
-    named = ~np.isfinite(x)
+    named = np.isinf(x)
+    minus = np.signbit(x) & ~named
     whole = k // unit
     part = k - whole * unit
 
@@ -164,13 +166,9 @@ def formatted(values, fmt: str) -> np.ndarray:
         columns.append(table[high - above * count])  # high % count
         above = high
 
-    if named.any():  # each word column after the sign spells inf, or nan
-        nan = np.isnan(x)
-        has_nan = nan.any()
-        spelled = words([b"inf" + suffix, b"nan" + suffix], len(columns) - body)
-        for j, (inf_word, nan_word) in enumerate(spelled.T, body):
-            column = np.where(named, inf_word, columns[j])
-            columns[j] = np.where(nan, nan_word, column) if has_nan else column
+    if named.any():  # each word column after the sign spells inf
+        for j, word in enumerate(words([b"inf" + suffix], len(columns) - body)[0], body):
+            columns[j] = np.where(named, word, columns[j])
     big = ~(small | named)
     texts = (words([(fmt % v).encode() for v in values[big].tolist()], len(columns))
              if big.any() else None)
@@ -183,7 +181,14 @@ def formatted(values, fmt: str) -> np.ndarray:
     return rows
 
 
-def joined(rows) -> bytes:
-    """The texts of a matrix of `formatted` rows, row after row: its
-    bytes without the zero bytes."""
-    return rows.tobytes().translate(None, b"\0")
+def joined(cells: list) -> bytes:
+    """The texts of the word matrices of `cells` (such as `formatted`
+    rows) set side by side, row after row: their bytes without the zero
+    bytes. `cells` is emptied once the row matrix is made, and the matrix
+    is dropped once its bytes are copied, so at most two copies of the
+    text are held at once."""
+    rows = np.concatenate(cells, axis=1)
+    cells.clear()
+    text = rows.tobytes()
+    del rows
+    return text.translate(None, b"\0")

@@ -70,9 +70,8 @@ def _polyline(x_words, ys, y_range, y0, color):
     if not keep.all():
         x_words, ys = x_words[keep], ys[keep]
     inner_h = PANEL_H - PAD_T - PAD_B
-    points = joined(np.concatenate(
-        (x_words, formatted(_scale(ys, y_range, y0 + PANEL_H - PAD_B, -inner_h), "%.2f ")),
-        axis=1))
+    points = joined([x_words, formatted(
+        _scale(ys, y_range, y0 + PANEL_H - PAD_B, -inner_h), "%.2f ")])
     return (f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
             f'points="{points[:-1].decode()}"/>')
 

@@ -4,9 +4,9 @@ Over a bounded configuration space, every config that builds either
 completes, with no NaN in its records or smoothed series, or stops at
 the price floor with the package's typed error, which names the tick.
 
-The writers' `numfmt.formatted` gives `fmt % v` for every entry, for
-each format the writers use, on float and int arrays alike, and so does
-a whole `series.csv`, cell by cell."""
+The writers' `numfmt.formatted` gives `fmt % v` for every entry, with
+every infinity spelled `inf`, for each format the writers use, on float
+and int arrays alike, and so does a whole `series.csv`, cell by cell."""
 
 import math
 import re
@@ -90,10 +90,10 @@ def _texts(rows):
 
 
 def _assert_formatted(values, fmt):
-    want = [fmt % v for v in values.tolist()]
+    want = [(fmt % v).replace("-inf", "inf") for v in values.tolist()]
     got = formatted(values, fmt)
     assert _texts(got) == want
-    assert joined(got) == "".join(want).encode()
+    assert joined([got]) == "".join(want).encode()
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -130,10 +130,19 @@ def test_formatted_special_values_one_at_a_time(fmt):
     (0.375, "%.2f ", "0.38 "),
     (-1e-9, "%.6f,", "-0.000000,"),
     (-math.nan, "%.6f,", "nan,"),
-    (-math.inf, "%.2f,", "-inf,"),
+    (math.nan, "%.0f,", "nan,"),
+    (math.nan, "%.2f ", "nan "),
+    (-math.inf, "%.2f,", "inf,"),
 ])
 def test_formatted_spells_the_branches(value, fmt, text):
     assert _texts(formatted(np.array([value]), fmt)) == [text]
+
+
+def test_joined_sets_the_matrices_side_by_side_and_empties_the_list():
+    cells = [formatted(np.array([1.5, -math.inf, 20.25]), "%.2f,"),
+             formatted(np.array([3, 40, 500]), "%.0f ")]
+    assert joined(cells) == b"1.50,3 inf,40 20.25,500 "
+    assert cells == []
 
 
 @pytest.mark.parametrize("fmt", ["%s", "%.2e,", "x%d", "%d,"])
