@@ -59,26 +59,33 @@ def step(book: OrderBook, sampler: AgentSampler, t: int) -> tuple:
         raise DegenerateBookError(f"tick {t}: {exc}") from exc
 
 
-def _readout(outcomes: np.ndarray, bid0: int, ask0: int,
+def _readout(tables: list, bid0: int, ask0: int,
              p: float) -> dict[str, np.ndarray]:
     """The run's `TickRecord` columns from its outcome table (one row per
     tick of volume, obstacle notional, order notional, bid and ask), the
     starting quotes and the configured collision probability, one array
-    pass per quantity. Every returned array owns its memory, so none
-    keeps the table alive.
+    pass per quantity. The table comes as the one entry of `tables`,
+    which is emptied, so that the caller holds no reference to it. Every
+    returned array owns its memory, and the table's views are dropped as
+    soon as the columns that read them exist, so the table is freed
+    before the rest of the readout.
 
     The one definition of v_T, l and a collision: v_T is the change of
     the mid (bid + ask) / 2.0 from the previous tick, l is the previous
     tick's spread, and a tick collided exactly when its volume is
     positive.
     """
-    volume, obstacle, order, bid, ask = outcomes.T
+    volume, obstacle, order, bid, ask = tables.pop().T
     # Under SimConfig's 2**53 bound every quote is an exact float64, so
     # the integer quotes are exact, every mid is an exact half tick, and
     # the mid differences, and mid - v_T, are exact.
     bid, ask = bid.astype(np.int64), ask.astype(np.int64)
     mid = (bid + ask) / 2.0
     v_t = mid - np.concatenate(([(bid0 + ask0) / 2.0], mid[:-1]))
+    mu = viscosity(volume, v_t, obstacle, order)
+    p_hat = collision_ratio(order, obstacle, volume > 0.0)
+    volume = volume.copy()
+    del obstacle, order  # the last views of the table
     spread = np.concatenate(([ask0 - bid0], (ask - bid)[:-1]))
     if p >= 1.0:
         # the closed form rejects the saturated limit; take it explicitly
@@ -93,9 +100,9 @@ def _readout(outcomes: np.ndarray, bid0: int, ask0: int,
         "ret": v_t / (mid - v_t),
         "v_t": v_t,
         "spread": spread,
-        "volume": volume.copy(),
-        "mu": viscosity(volume, v_t, obstacle, order),
-        "p_hat": collision_ratio(order, obstacle, volume > 0.0),
+        "volume": volume,
+        "mu": mu,
+        "p_hat": p_hat,
         "reynolds": reynolds,
         "regime": classify_flow(reynolds),
     }
@@ -112,16 +119,16 @@ def run(config: SimConfig) -> SeriesBundle:
     book = OrderBook(config)
     bid0, ask0 = book.bid, book.ask
     sampler = AgentSampler(config)
-    outcomes = np.fromiter(
+    # a list that `_readout` empties, so the readout frees the table
+    # part way through
+    tables = [np.fromiter(
         chain.from_iterable(map(step, repeat(book), repeat(sampler), range(config.steps))),
-        float, 5 * config.steps).reshape(-1, 5)
+        float, 5 * config.steps).reshape(-1, 5)]
 
     if not reconcile(book):
         raise RuntimeError("volume ledger failed to reconcile against the journal")
 
-    columns = _readout(outcomes, bid0, ask0, config.collision_probability)
-    # the table, and with it the notionals, is freed before smoothing
-    del outcomes
+    columns = _readout(tables, bid0, ask0, config.collision_probability)
     return SeriesBundle(
         columns=columns,
         smoothed_mu=smooth_viscosity(columns["mu"], config.viscosity_clamp,

@@ -124,10 +124,12 @@ def _atomic_write(path: str, text: str) -> None:
     _atomic_write_chunks(path, map(str.encode, (text,)))
 
 
-# Rows formatted and written per pass. Each `formatted` call costs about
-# 25 us whatever its length, paid once per column and block, while a
+# Rows formatted and written per pass. Each `formatted` call has a fixed
+# cost, paid once per column and block, of about 40 us for a float column
+# (70 us with an infinity or a NaN in it) and 15 us for an integer column
+# in [0, 2**52) (numpy 2.4, Python 3.11, a 2-core Xeon VM), while a
 # block's peak is held once whatever the run's length: at 4096 rows a
-# 20k-tick run makes 65 calls, at a tracemalloc peak of about 1.4 MiB.
+# 20k-tick run makes 65 calls, at a tracemalloc peak of about 1.35 MiB.
 _BLOCK = 4096
 
 
@@ -143,8 +145,9 @@ def _series_text(bundle: SeriesBundle):
     regimes = columns["regime"]
     for lo in range(0, len(regimes), _BLOCK):
         cut = slice(lo, lo + _BLOCK)
-        cells = [formatted(values[cut], fmt) for values, fmt in zip(series, formats)]
-        cells.append(names[regimes[cut]])
+        cells = [column for values, fmt in zip(series, formats)
+                 for column in formatted(values[cut], fmt)]
+        cells.extend(names[regimes[cut]].T)
         yield joined(cells)
 
 

@@ -1,10 +1,11 @@
 """Exact `%` formatting of numeric columns with numpy.
 
 `formatted` gives, for each entry of an array, the bytes that `fmt % v`
-gives, except that every infinity is `inf`, as one row of uint32 words;
-`joined` sets such word matrices side by side and turns their rows into
-text. The writers in `io` and `svg` format and join whole columns with
-them, with no Python call per value.
+gives, except that every infinity is `inf`, as columns of uint32 words,
+with no row matrix of its own; `joined` writes such columns side by side
+into one row matrix per call and turns its rows into text. The writers
+in `io` and `svg` format and join whole columns with them, with no
+Python call per value.
 """
 
 from __future__ import annotations
@@ -108,15 +109,19 @@ def _integer_words(n) -> list:
     return columns
 
 
-def formatted(values, fmt: str) -> np.ndarray:
+def formatted(values, fmt: str) -> list:
     """`fmt % v` for each entry v of a 1-D array, except that every
-    infinity is `inf`, as one row of uint32 words per entry whose
-    non-zero bytes, in memory order, are the text. `joined` turns rows
-    into their texts.
+    infinity is `inf`, as a list of word columns: each a 1-D array of
+    uint32 words, one per entry, or one word that every entry shares.
+    An entry's text is the non-zero bytes of its words, column after
+    column, each in memory order; `joined` turns the columns into text.
 
     `fmt` is one `%.Nf` conversion with literal text after it, as every
-    writer's format is; any other raises `ValueError`. Where
-    `|v| * 10**N < 2**52`, the digits are numpy arithmetic:
+    writer's format is; any other raises `ValueError`. An integer column
+    in [0, 2**52) is its digits and, where N > 0, a point and N zeros,
+    with no float arithmetic: every such integer is an exact double.
+    Elsewhere, where `|v| * 10**N < 2**52`, the digits are numpy
+    arithmetic:
     - the exact binary value is rounded half to even, as CPython's
       correctly rounded `%` does. Let p be the rounded product
       `|v| * 10**N`. Below 2**52 every n + 1/2 is a double, and rounding
@@ -127,21 +132,37 @@ def formatted(values, fmt: str) -> np.ndarray:
       that rounds to zero keep their "-".
 
     NaN, and every value past the bound, go through `%` one value at a
-    time.
+    time, and their texts are written into every column, with columns
+    of zero words added where a text is the wider. A column whose
+    values are all within the bound skips the masks that set the others
+    apart.
     """
     values = np.asarray(values)
     places, suffix, tail = _layout(fmt)
-    x = values.astype(np.float64)
+    if values.dtype.kind in "iu" and 0 <= values.min(initial=0) \
+            and values.max(initial=0) < 2**52:
+        # no fraction: each tail word is its digits' zeros, or the suffix
+        return (_integer_words(values.astype(np.int64, copy=False))
+                + [table[0] for _, _, table in tail])
+    x = values.astype(np.float64, copy=False)
     mag = np.abs(x)
-    # Values past the bound, NaN and the infinities take no part in the
-    # arithmetic: it would warn on them, under `-W error` too.
-    small = mag < 2.0**52
-    mag[~small] = 0.0
     unit = 10**places
     scale = float(unit)
-    p = mag * scale
-    small &= p < 2.0**52
-    p[~small] = 0.0
+    named = big = None  # the infinities, and the values `%` formats
+    # rounding is monotonic, so the largest product bounds them all; a
+    # NaN compares false
+    if float(mag.max(initial=0.0)) * scale < 2.0**52:
+        p = mag * scale
+    else:
+        # Values past the bound, NaN and the infinities take no part in
+        # the arithmetic: it would warn on them, under `-W error` too.
+        small = mag < 2.0**52
+        mag[~small] = 0.0
+        p = mag * scale
+        small &= p < 2.0**52
+        p[~small] = 0.0
+        named = np.isinf(x)
+        big = ~(small | named)
     k = p.astype(np.int64)  # floor(p)
     frac = p - k
     ties = np.flatnonzero(frac == 0.5)
@@ -149,8 +170,7 @@ def formatted(values, fmt: str) -> np.ndarray:
     if len(ties):
         error = _product_error(mag[ties], scale, p[ties])
         k[ties] += (error > 0.0) | (error == 0.0) & (k[ties] % 2 == 1)
-    named = np.isinf(x)
-    minus = np.signbit(x) & ~named
+    minus = np.signbit(x) if named is None else np.signbit(x) & ~named
     whole = k // unit
     part = k - whole * unit
 
@@ -166,29 +186,32 @@ def formatted(values, fmt: str) -> np.ndarray:
         columns.append(table[high - above * count])  # high % count
         above = high
 
-    if named.any():  # each word column after the sign spells inf
+    if named is not None and named.any():  # each column after the sign spells inf
         for j, word in enumerate(words([b"inf" + suffix], len(columns) - body)[0], body):
             columns[j] = np.where(named, word, columns[j])
-    big = ~(small | named)
-    texts = (words([(fmt % v).encode() for v in values[big].tolist()], len(columns))
-             if big.any() else None)
-    rows = np.zeros((len(x), len(columns) if texts is None else texts.shape[1]),
-                    dtype=np.uint32)
-    for j, column in enumerate(columns):
-        rows[:, j] = column
-    if texts is not None:
-        rows[big] = texts
-    return rows
+    if big is not None and big.any():
+        texts = words([(fmt % v).encode() for v in values[big].tolist()], len(columns))
+        columns += [0] * (texts.shape[1] - len(columns))
+        for j, text in enumerate(texts.T):
+            column = np.empty(len(x), np.uint32)
+            column[:] = columns[j]
+            column[big] = text
+            columns[j] = column
+    return columns
 
 
-def joined(cells: list) -> bytes:
-    """The texts of the word matrices of `cells` (such as `formatted`
-    rows) set side by side, row after row: their bytes without the zero
-    bytes. `cells` is emptied once the row matrix is made, and the matrix
-    is dropped once its bytes are copied, so at most two copies of the
-    text are held at once."""
-    rows = np.concatenate(cells, axis=1)
-    cells.clear()
+def joined(columns: list) -> bytes:
+    """The texts of word columns (such as `formatted`'s, or the columns
+    of a `words` matrix) set side by side, row after row: the bytes of
+    their words without the zero bytes. The (rows x words) matrix is
+    allocated once and each column written into it; `columns` is emptied
+    once the matrix is filled, and the matrix is dropped once its bytes
+    are copied, so at most two copies of the text are held at once."""
+    (n,) = np.broadcast_shapes(*map(np.shape, columns))
+    rows = np.empty((n, len(columns)), np.uint32)
+    for j in range(len(columns)):  # no loop variable keeps a column alive
+        rows[:, j] = columns[j]
+    columns.clear()
     text = rows.tobytes()
     del rows
     return text.translate(None, b"\0")

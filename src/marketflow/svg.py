@@ -1,15 +1,17 @@
 """Static SVG figures for runs and surfaces.
 
-A figure is a sequence of markup parts in file order, with fixed
-two-decimal coordinates, so the same input always yields byte-identical
-markup; `write_svg` writes each part as it is drawn, so a series figure
-is never held whole.
+A figure is a sequence of markup parts in file order, each a bytes
+object, with fixed two-decimal coordinates, so the same input always
+yields byte-identical markup; `write_svg` writes each part as it is
+drawn, as it is, so a series figure is never held whole and no part is
+decoded or encoded again.
 Series coordinates are computed with numpy, one array operation per
 step of the scalar formula and in Python's operation order; numpy's
 elementwise float64 arithmetic rounds like Python's, so every
 coordinate is the double the scalar formula gives.
-Coordinates are formatted by `numfmt.formatted`, whose bytes are those
-of `%.2f` applied to each point on its own.
+Coordinates are formatted by `numfmt.formatted` and set into the
+markup as `numfmt.joined` gives them, as bytes, which are those of
+`%.2f` applied to each point on its own.
 The CSV files stay canonical; these figures are a quick visual check.
 """
 
@@ -61,19 +63,21 @@ def _scale(values, value_range, origin, span):
 
 def _polyline(x_words, ys, y_range, y0, color):
     """The ticks with a finite y as one polyline in a panel at height y0;
-    `x_words` holds the `formatted` x text of every tick, which is the
-    same for each panel of a column. Ticks are integers, so every x is
-    finite."""
+    `x_words` holds the `formatted` x columns of every tick, which are
+    the same for each panel of a column. Ticks are integers, so every x
+    is finite."""
     keep = np.isfinite(ys)
     if not keep.any():
-        return ""
+        return b""
     if not keep.all():
-        x_words, ys = x_words[keep], ys[keep]
+        x_words = [column[keep] if np.ndim(column) else column for column in x_words]
+        ys = ys[keep]
     inner_h = PANEL_H - PAD_T - PAD_B
-    points = joined([x_words, formatted(
+    points = joined([*x_words, *formatted(
         _scale(ys, y_range, y0 + PANEL_H - PAD_B, -inner_h), "%.2f ")])
-    return (f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
-            f'points="{points[:-1].decode()}"/>')
+    head = f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="'
+    # the points but the last one's trailing space, copied once, into the part
+    return b"".join((head.encode(), memoryview(points)[:-1], b'"/>'))
 
 
 def _panel_frame(x0, y0, caption):
@@ -82,7 +86,7 @@ def _panel_frame(x0, y0, caption):
         f'width="{PANEL_W - PAD_L - PAD_R}" height="{PANEL_H - PAD_T - PAD_B}" '
         f'fill="white" stroke="#888" stroke-width="0.8"/>'
         f'<text x="{x0 + PAD_L}" y="{y0 + 18}" font-size="12" '
-        f'font-family="sans-serif" fill="#222">{caption}</text>')
+        f'font-family="sans-serif" fill="#222">{caption}</text>').encode()
 
 
 def _range_labels(x0, y0, y_range):
@@ -91,7 +95,7 @@ def _range_labels(x0, y0, y_range):
         f'<text x="{x0 + 4}" y="{y0 + PAD_T + 10}" font-size="9" '
         f'font-family="sans-serif" fill="#555">{hi:.4g}</text>'
         f'<text x="{x0 + 4}" y="{y0 + PANEL_H - PAD_B}" font-size="9" '
-        f'font-family="sans-serif" fill="#555">{lo:.4g}</text>')
+        f'font-family="sans-serif" fill="#555">{lo:.4g}</text>').encode()
 
 
 def _depth_panel(bundle, x0, y0):
@@ -108,9 +112,9 @@ def _depth_panel(bundle, x0, y0):
         bx = x0 + PAD_L + i * bar_w
         by = y0 + PANEL_H - PAD_B - bh
         parts.append(f'<rect x="{bx:.2f}" y="{by:.2f}" width="{bar_w * 0.85:.2f}" '
-                     f'height="{bh:.2f}" fill="{color}"/>')
+                     f'height="{bh:.2f}" fill="{color}"/>'.encode())
     parts.append(_range_labels(x0, y0, _axis_range([0.0, peak])))
-    return "".join(parts)
+    return b"".join(parts)
 
 
 def _series_panel(x_words, caption, x0, y0, *lines):
@@ -136,7 +140,7 @@ def _svg_head(width, height):
             f'<rect width="{width}" height="{height}" fill="#fafafa"/>')
 
 
-def series_figure(bundle: SeriesBundle) -> Iterator[str]:
+def series_figure(bundle: SeriesBundle) -> Iterator[bytes]:
     """Six panels: book depth, mid price, smoothed viscosity, bid/ask,
     returns, smoothed Reynolds number, as markup parts in file order,
     each drawn when it is asked for. A bundle with no ticks, which `run`
@@ -145,7 +149,7 @@ def series_figure(bundle: SeriesBundle) -> Iterator[str]:
     ts = np.asarray(columns["t"], dtype=float)
     t_range = _axis_range(ts)  # the x axis of every series panel
     inner_w = PANEL_W - PAD_L - PAD_R
-    # each panel column's x text, formatted once for all its panels
+    # each panel column's x columns, formatted once for all its panels
     x_words = {x0: formatted(_scale(ts, t_range, x0 + PAD_L, inner_w), "%.2f,")
                for x0 in (0, PANEL_W)}
     panels = (
@@ -157,11 +161,11 @@ def series_figure(bundle: SeriesBundle) -> Iterator[str]:
         ("(f) smoothed Reynolds number", PANEL_W, 2 * PANEL_H,
          (bundle.smoothed_reynolds, "#b07a1e")),
     )
-    yield _svg_head(2 * PANEL_W, 3 * PANEL_H)
+    yield _svg_head(2 * PANEL_W, 3 * PANEL_H).encode()
     yield _depth_panel(bundle, 0, 0)
     for caption, x0, y0, *lines in panels:
         yield from _series_panel(x_words[x0], caption, x0, y0, *lines)
-    yield "</svg>"
+    yield b"</svg>"
 
 
 def _heat_color(frac: float) -> str:
@@ -172,7 +176,7 @@ def _heat_color(frac: float) -> str:
     return f"rgb({r},{g},{b})"
 
 
-def surface_figure(grid: SurfaceGrid) -> list[str]:
+def surface_figure(grid: SurfaceGrid) -> list[bytes]:
     """Heatmap of a Reynolds surface, probability on the vertical axis,
     as a list of markup parts in file order."""
     cell_w = max(4.0, 560.0 / max(len(grid.x_axis), 1))
@@ -210,11 +214,11 @@ def surface_figure(grid: SurfaceGrid) -> list[str]:
         f'fill="#555">p = {p_hi:g}</text>',
         "</svg>",
     ]
-    return parts
+    return [part.encode() for part in parts]
 
 
 def write_svg(parts, path: str) -> None:
-    """Write the markup parts of a figure to `path` atomically, each
-    encoded and written before the next is asked for; a figure that
-    raises midway leaves `path` as it was."""
-    _atomic_write_chunks(path, map(str.encode, parts))
+    """Write the bytes parts of a figure to `path` atomically, each as it
+    is and before the next is asked for; a figure that raises midway
+    leaves `path` as it was."""
+    _atomic_write_chunks(path, parts)

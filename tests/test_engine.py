@@ -385,7 +385,7 @@ class TestStepIsThePatchPoint:
         config = SimConfig(collision_probability=0.5, steps=steps, seed=1)
         columns = run(config).columns
         book = OrderBook(config)
-        want = engine._readout(np.array(outcomes, dtype=float), book.bid, book.ask,
+        want = engine._readout([np.array(outcomes, dtype=float)], book.bid, book.ask,
                                config.collision_probability)
         assert len(outcomes) == steps
         assert columns["bid"].tolist() == [out[3] for out in outcomes]
@@ -407,19 +407,24 @@ def test_a_run_holds_only_its_own_arrays(steps):
 
 def test_run_peak_memory_per_tick():
     # the loop fills one 40 B/tick float64 table and keeps no outcome tuple
-    # past its tick; with the whole run's tuples alive this run peaked at
-    # about 410 B/tick
+    # past its tick; with the whole run's tuples alive the P = 0.5 run
+    # peaked at about 410 B/tick. At P = 0 the readout sets the peak: it
+    # read 278 B/tick while the table lived to the end of the readout,
+    # 262 with the table freed once mu, p_hat and the volume copy exist.
+    # `run` hands the table over in a list that the readout empties, so
+    # the bound does not depend on how the interpreter holds arguments.
     steps = 20000
-    config = SimConfig(collision_probability=0.5, steps=steps, seed=1,
-                       smoothing_window=200)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        run(config)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak / steps < 360, peak / steps
+    for p, bound in ((0.5, 360), (0.0, 275)):
+        config = SimConfig(collision_probability=p, steps=steps, seed=1,
+                           smoothing_window=200)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run(config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / steps < bound, (p, peak / steps)
 
 
 def test_criterion_5_viscosity_is_twice_the_partial_fill_share():

@@ -219,14 +219,14 @@ class TestMetadataHeader:
 class TestSvg:
     def test_series_figure_is_wellformed_with_six_panels(self):
         bundle = run(SimConfig(steps=40, seed=3))
-        markup = "".join(series_figure(bundle))
+        markup = b"".join(series_figure(bundle)).decode()
         xml.dom.minidom.parseString(markup)
         for label in ("(a)", "(b)", "(c)", "(d)", "(e)", "(f)"):
             assert label in markup
 
     def test_series_figure_is_deterministic(self):
         bundle = run(SimConfig(steps=40, seed=3))
-        assert_same("".join(series_figure(bundle)), "".join(series_figure(bundle)))
+        assert_same(b"".join(series_figure(bundle)), b"".join(series_figure(bundle)))
 
     def test_empty_series_renders_empty_panels(self):
         config = SimConfig()
@@ -234,7 +234,7 @@ class TestSvg:
                              smoothed_mu=[], smoothed_reynolds=[],
                              config=config,
                              final_book=OrderBook(config))
-        markup = "".join(series_figure(empty))
+        markup = b"".join(series_figure(empty)).decode()
         xml.dom.minidom.parseString(markup)
         for label in ("(a)", "(b)", "(c)", "(d)", "(e)", "(f)"):
             assert label in markup
@@ -242,16 +242,16 @@ class TestSvg:
 
     def test_surface_figure_is_wellformed(self):
         grid = surface_speed(default_speed_grid(), default_probability_grid())
-        markup = "".join(surface_figure(grid))
+        markup = b"".join(surface_figure(grid)).decode()
         xml.dom.minidom.parseString(markup)
         assert "Reynolds surface" in markup
 
     def test_infinite_values_do_not_break_the_line_charts(self):
         bundle = run(SimConfig(collision_probability=0.0, steps=10, seed=1))
-        xml.dom.minidom.parseString("".join(series_figure(bundle)))
+        xml.dom.minidom.parseString(b"".join(series_figure(bundle)))
 
     def test_write_svg_is_atomic(self, tmp_path):
         path = tmp_path / "fig.svg"
-        write_svg(["<svg xmlns='http://www.w3.org/2000/svg'>", "</svg>"], str(path))
+        write_svg([b"<svg xmlns='http://www.w3.org/2000/svg'>", b"</svg>"], str(path))
         assert path.read_text() == "<svg xmlns='http://www.w3.org/2000/svg'></svg>"
         assert not (tmp_path / "fig.svg.tmp").exists()

@@ -83,9 +83,12 @@ SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
 FLOATS = st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats()), max_size=80)
 
 
-def _texts(rows):
-    """The text of each row of `formatted`: its non-zero bytes."""
-    assert rows.dtype == np.uint32 and rows.ndim == 2
+def _texts(columns):
+    """The text of each entry of `formatted`'s word columns: the non-zero
+    bytes of its row of words."""
+    assert all(np.ndim(column) <= 1 and np.asarray(column).dtype.kind in "iu"
+               for column in columns)
+    rows = np.column_stack(np.broadcast_arrays(*columns)).astype(np.uint32)
     return [row.tobytes().replace(b"\0", b"").decode() for row in rows]
 
 
@@ -93,7 +96,7 @@ def _assert_formatted(values, fmt):
     want = [(fmt % v).replace("-inf", "inf") for v in values.tolist()]
     got = formatted(values, fmt)
     assert _texts(got) == want
-    assert joined([got]) == "".join(want).encode()
+    assert joined(got) == "".join(want).encode()
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -102,8 +105,15 @@ def test_formatted_floats_match_the_scalar_formula(values, fmt):
     _assert_formatted(np.array(values + values[::3], dtype=np.float64), fmt)
 
 
+# Where an int64 column leaves the integer path for the float one (a
+# negative, or 2**52 and above), where the float one leaves its bound
+# for `%`, and the ends of int64
+INT_EDGES = (0, 1, -1, 9999, 10**4, 2**52 - 1, 2**52, 2**53 + 1, -2**63, 2**63 - 1)
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(-3, 3), max_size=80),
+@given(st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(-3, 3)
+                | st.sampled_from(INT_EDGES), max_size=80),
        st.sampled_from(WRITER_FORMATS))
 def test_formatted_ints_match_the_scalar_formula(values, fmt):
     _assert_formatted(np.array(values, dtype=np.int64), fmt)
@@ -139,10 +149,16 @@ def test_formatted_spells_the_branches(value, fmt, text):
 
 
 def test_joined_sets_the_matrices_side_by_side_and_empties_the_list():
-    cells = [formatted(np.array([1.5, -math.inf, 20.25]), "%.2f,"),
-             formatted(np.array([3, 40, 500]), "%.0f ")]
+    cells = [*formatted(np.array([1.5, -math.inf, 20.25]), "%.2f,"),
+             *formatted(np.array([3, 40, 500]), "%.0f ")]
     assert joined(cells) == b"1.50,3 inf,40 20.25,500 "
     assert cells == []
+    # a middle cell that `%` formats: NaN, and 1e300, whose text is far
+    # wider than the other rows of its column
+    for value in (math.nan, 1e300):
+        cells = [*formatted(np.array([1.5, value, 20.25]), "%.2f,"),
+                 *formatted(np.array([3, 40, 500]), "%.0f ")]
+        assert joined(cells) == f"1.50,3 {value:.2f},40 20.25,500 ".encode()
 
 
 @pytest.mark.parametrize("fmt", ["%s", "%.2e,", "x%d", "%d,"])

@@ -198,10 +198,10 @@ def _reference_polyline(xs, ys, x_range, y_range, x0, y0, color):
     pts[:, 1] = ((y0 + svg.PANEL_H - svg.PAD_B)
                  - (ys[keep] - lo_y) / (hi_y - lo_y) * inner_h)
     if not len(pts):
-        return ""
+        return b""
     points = " ".join(["%.2f,%.2f"] * len(pts)) % tuple(pts.ravel().tolist())
     return (f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
-            f'points="{points}"/>')
+            f'points="{points}"/>').encode()
 
 
 def _reference_series_figure(bundle):
@@ -212,7 +212,7 @@ def _reference_series_figure(bundle):
     t_range = svg._axis_range(ts)
 
     def panel(caption, lines, label_range, x0, y0):
-        return "".join((
+        return b"".join((
             svg._panel_frame(x0, y0, caption),
             *[_reference_polyline(ts, ys, t_range, svg._axis_range(ys), x0, y0, color)
               for ys, color in lines],
@@ -223,10 +223,10 @@ def _reference_series_figure(bundle):
         return panel(caption, [(ys, color)], svg._axis_range(ys), x0, y0)
 
     W, H = svg.PANEL_W, svg.PANEL_H
-    return "".join((
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
-        f'<rect width="{width}" height="{height}" fill="#fafafa"/>',
+    return b"".join((
+        (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+         f'height="{height}" viewBox="0 0 {width} {height}">'
+         f'<rect width="{width}" height="{height}" fill="#fafafa"/>').encode(),
         svg._depth_panel(bundle, 0, 0),
         one("(b) mid price", mids, W, 0, "#333333"),
         one("(c) smoothed viscosity", bundle.smoothed_mu, 0, H, "#7048b0"),
@@ -235,7 +235,7 @@ def _reference_series_figure(bundle):
         one("(e) returns", rets, 0, 2 * H, "#48790f"),
         one("(f) smoothed Reynolds number", bundle.smoothed_reynolds, W, 2 * H,
             "#b07a1e"),
-        "</svg>"))
+        b"</svg>"))
 
 
 @pytest.mark.parametrize("config", [
@@ -249,7 +249,7 @@ def test_writers_match_the_per_value_references(tmp_path, config):
     path = tmp_path / "series.csv"
     write_series_csv(bundle, str(path))
     assert_same(path.read_bytes(), _reference_series_csv(bundle))
-    assert_same("".join(svg.series_figure(bundle)), _reference_series_figure(bundle))
+    assert_same(b"".join(svg.series_figure(bundle)), _reference_series_figure(bundle))
 
 
 def test_polylines_match_the_per_point_reference():
@@ -264,7 +264,7 @@ def test_polylines_match_the_per_point_reference():
     t_range, y_range = svg._axis_range(ts), svg._axis_range(ys)
     inner_w = svg.PANEL_W - svg.PAD_L - svg.PAD_R
     for x0 in (0, svg.PANEL_W):
-        # the x text of every tick, as series_figure makes it per column
+        # the x columns of every tick, as series_figure makes them per column
         x_words = formatted(svg._scale(ts, t_range, x0 + svg.PAD_L, inner_w), "%.2f,")
         assert_same(svg._polyline(x_words, ys, y_range, svg.PANEL_H, "#333333"),
                     _reference_polyline(ts, ys, t_range, y_range, x0, svg.PANEL_H,
