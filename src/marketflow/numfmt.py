@@ -6,6 +6,10 @@ with no row matrix of its own; `joined` writes such columns side by side
 into one row matrix per call and turns its rows into text. The writers
 in `io` and `svg` format and join whole columns with them, with no
 Python call per value.
+
+One rule settles each float v under `%.Nf`, with p = |v| * 10**N: the
+digit tables where p < 2**52 and p is off a tie (some n + 1/2), shared
+`inf` words for the infinities, and `%` for the rest.
 """
 
 from __future__ import annotations
@@ -77,19 +81,6 @@ def _layout(fmt: str):
     return places, suffix, _tail_words(places, suffix)
 
 
-def _product_error(a, b, p):
-    """`a * b - p` exactly, where p is the rounded product of a and b:
-    Dekker's two-product on Veltkamp's halves, exact when nothing
-    overflows or underflows."""
-    def halves(x):  # Veltkamp's split of a double into two 26-bit halves
-        c = (2.0**27 + 1) * x
-        hi = c - (c - x)
-        return hi, x - hi
-
-    (a_hi, a_lo), (b_hi, b_lo) = halves(a), halves(b)
-    return a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
-
-
 def _integer_words(n) -> list:
     """The decimal digits of the non-negative integers n, without
     leading zeros, as columns of words, most significant first: one
@@ -120,22 +111,20 @@ def formatted(values, fmt: str) -> list:
     writer's format is; any other raises `ValueError`. An integer column
     in [0, 2**52) is its digits and, where N > 0, a point and N zeros,
     with no float arithmetic: every such integer is an exact double.
-    Elsewhere, where `|v| * 10**N < 2**52`, the digits are numpy
-    arithmetic:
-    - the exact binary value is rounded half to even, as CPython's
-      correctly rounded `%` does. Let p be the rounded product
-      `|v| * 10**N`. Below 2**52 every n + 1/2 is a double, and rounding
-      is monotonic, so the exact product lies on p's side of each
-      n + 1/2 that p is not. Only where p is one does the sign of the
-      product's exact error (`_product_error`) settle the tie;
-    - the sign comes from the sign bit, so -0.0 and a negative value
-      that rounds to zero keep their "-".
-
-    NaN, and every value past the bound, go through `%` one value at a
-    time, and their texts are written into every column, with columns
-    of zero words added where a text is the wider. A column whose
-    values are all within the bound skips the masks that set the others
-    apart.
+    Elsewhere one mask settles each value. Let p be `|v| * 10**N`
+    rounded to a double:
+    - where p < 2**52 and p is not some n + 1/2, the digits are those of
+      p rounded to the nearest integer, looked up in the tables. Below
+      2**52 every n + 1/2 is a double, and rounding is monotonic, so the
+      exact product lies on p's side of each n + 1/2 that p is not: it
+      rounds to the same integer, as CPython's correctly rounded `%`
+      does. The sign comes from the sign bit, so -0.0 and a negative
+      value that rounds to zero keep their "-";
+    - every infinity is `inf`, one word per column that they share;
+    - the rest (NaN, values past the bound, and the ties, whose exact
+      product may lie on either side of p) go through `%` one value at
+      a time, and their texts are written into every column, with
+      columns of zero words added where a text is the wider.
     """
     values = np.asarray(values)
     places, suffix, tail = _layout(fmt)
@@ -145,37 +134,26 @@ def formatted(values, fmt: str) -> list:
         return (_integer_words(values.astype(np.int64, copy=False))
                 + [table[0] for _, _, table in tail])
     x = values.astype(np.float64, copy=False)
-    mag = np.abs(x)
     unit = 10**places
-    scale = float(unit)
-    named = big = None  # the infinities, and the values `%` formats
-    # rounding is monotonic, so the largest product bounds them all; a
-    # NaN compares false
-    if float(mag.max(initial=0.0)) * scale < 2.0**52:
-        p = mag * scale
-    else:
-        # Values past the bound, NaN and the infinities take no part in
-        # the arithmetic: it would warn on them, under `-W error` too.
-        small = mag < 2.0**52
-        mag[~small] = 0.0
-        p = mag * scale
-        small &= p < 2.0**52
-        p[~small] = 0.0
-        named = np.isinf(x)
-        big = ~(small | named)
-    k = p.astype(np.int64)  # floor(p)
-    frac = p - k
-    ties = np.flatnonzero(frac == 0.5)
-    k += frac > 0.5
-    if len(ties):
-        error = _product_error(mag[ties], scale, p[ties])
-        k[ties] += (error > 0.0) | (error == 0.0) & (k[ties] % 2 == 1)
-    minus = np.signbit(x) if named is None else np.signbit(x) & ~named
+    # the arithmetic would warn on NaN, on the infinities and on products
+    # past the bound, under `-W error` too; a NaN compares false
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.abs(x)
+        p *= unit
+        inside = p < 2.0**52
+    outside = ~inside
+    p[outside] = 0.0  # their digits are not used, and the cast would warn
+    nearest = np.rint(p)
+    k = nearest.astype(np.int64)
+    named = np.isinf(x)
+    rest = outside ^ named  # the values `%` formats: every infinity is outside
+    nearest -= p
+    rest |= np.abs(nearest) == 0.5  # and the ties
+    minus = np.signbit(x)
     whole = k // unit
     part = k - whole * unit
 
     columns = [np.where(minus, _MINUS, 0)] if minus.any() else []
-    body = len(columns)
     columns += _integer_words(whole)
     above = 0  # part // (divisor * count): the digits before the word's
     for divisor, count, table in tail:
@@ -186,16 +164,16 @@ def formatted(values, fmt: str) -> list:
         columns.append(table[high - above * count])  # high % count
         above = high
 
-    if named is not None and named.any():  # each column after the sign spells inf
-        for j, word in enumerate(words([b"inf" + suffix], len(columns) - body)[0], body):
+    if named.any():  # every column spells inf, the sign's too
+        for j, word in enumerate(words([b"inf" + suffix], len(columns))[0]):
             columns[j] = np.where(named, word, columns[j])
-    if big is not None and big.any():
-        texts = words([(fmt % v).encode() for v in values[big].tolist()], len(columns))
+    if rest.any():
+        texts = words([(fmt % v).encode() for v in values[rest].tolist()], len(columns))
         columns += [0] * (texts.shape[1] - len(columns))
         for j, text in enumerate(texts.T):
             column = np.empty(len(x), np.uint32)
             column[:] = columns[j]
-            column[big] = text
+            column[rest] = text
             columns[j] = column
     return columns
 

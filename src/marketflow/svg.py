@@ -17,6 +17,7 @@ The CSV files stay canonical; these figures are a quick visual check.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -35,8 +36,9 @@ PAD_B = 20
 
 
 def _axis_range(values):
-    """The finite min and max, widened by 0.5 each way when they meet;
-    (0, 1) when no value is finite.
+    """The finite min and max, widened by 0.5 each way when they meet,
+    or to the neighbouring doubles where 0.5 is too small to move them
+    (from 2**52 on); (0, 1) when no value is finite.
 
     No series holds -0.0: every zero is `x - x`, a product of
     non-negatives or a sum that starts from 0.0. So numpy's min and max,
@@ -50,6 +52,8 @@ def _axis_range(values):
     if lo == hi:
         lo -= 0.5
         hi += 0.5
+        if lo == hi:
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
     return lo, hi
 
 

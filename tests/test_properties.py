@@ -153,9 +153,11 @@ def test_joined_sets_the_matrices_side_by_side_and_empties_the_list():
              *formatted(np.array([3, 40, 500]), "%.0f ")]
     assert joined(cells) == b"1.50,3 inf,40 20.25,500 "
     assert cells == []
-    # a middle cell that `%` formats: NaN, and 1e300, whose text is far
-    # wider than the other rows of its column
-    for value in (math.nan, 1e300):
+    # a middle cell that `%` formats: NaN, 1e300, whose text is far wider
+    # than the other rows of its column, a negative exact tie in a column
+    # otherwise in range, and a signaling NaN, which must not warn
+    signaling_nan = np.array([0x7FF0000000000001], np.uint64).view(np.float64)[0]
+    for value in (math.nan, 1e300, -0.125, signaling_nan):
         cells = [*formatted(np.array([1.5, value, 20.25]), "%.2f,"),
                  *formatted(np.array([3, 40, 500]), "%.0f ")]
         assert joined(cells) == f"1.50,3 {value:.2f},40 20.25,500 ".encode()

@@ -170,6 +170,20 @@ def test_points_are_the_doubles_of_the_scalar_formula():
     assert points.tolist() == expected
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_constant_series_past_2_53_has_a_range(tmp_path):
+    # there 0.5 is below half a unit, so widening by it gives the same
+    # double, and the panel would divide 0 by 0
+    lo, hi = svg._axis_range([1.476e20])
+    assert lo < 1.476e20 < hi
+    # one full fill at P just below 1 across a 65536-tick spread: the
+    # smoothed Reynolds series is one value, about 1.476e20
+    assert main(["simulate", "--steps", "1", "--collision-probability",
+                 "0.9999999999999999", "--spread", "65536", "--svg",
+                 "--out", str(tmp_path)]) == 0
+    assert b"nan" not in (tmp_path / "series.svg").read_bytes()
+
+
 # The writers with one `%` call per row and per polyline, kept as
 # references for the bytes.
 _SERIES_ROW = "%d,%d,%d" + ",%.6f" * 3 + ",%d" + ",%.6f" * 6 + ",%s\n"
