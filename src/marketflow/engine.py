@@ -59,23 +59,24 @@ def step(book: OrderBook, sampler: AgentSampler, t: int) -> tuple:
         raise DegenerateBookError(f"tick {t}: {exc}") from exc
 
 
-def _readout(tables: list, bid0: int, ask0: int,
+def _readout(outcomes, steps: int, bid0: int, ask0: int,
              p: float) -> dict[str, np.ndarray]:
-    """The run's `TickRecord` columns from its outcome table (one row per
-    tick of volume, obstacle notional, order notional, bid and ask), the
+    """The run's `TickRecord` columns from its `steps` outcome tuples
+    (volume, obstacle notional, order notional, bid and ask), the
     starting quotes and the configured collision probability, one array
-    pass per quantity. The table comes as the one entry of `tables`,
-    which is emptied, so that the caller holds no reference to it. Every
-    returned array owns its memory, and the table's views are dropped as
-    soon as the columns that read them exist, so the table is freed
-    before the rest of the readout.
+    pass per quantity. The outcomes fill one float64 table, 40 B a tick,
+    so no tuple outlives its tick. Only this function holds the table,
+    and it drops the table's views once the columns that read them
+    exist, so the table is freed before the rest of the readout. Every
+    returned array owns its memory.
 
     The one definition of v_T, l and a collision: v_T is the change of
     the mid (bid + ask) / 2.0 from the previous tick, l is the previous
     tick's spread, and a tick collided exactly when its volume is
     positive.
     """
-    volume, obstacle, order, bid, ask = tables.pop().T
+    volume, obstacle, order, bid, ask = np.fromiter(
+        chain.from_iterable(outcomes), float, 5 * steps).reshape(-1, 5).T
     # Under SimConfig's 2**53 bound every quote is an exact float64, so
     # the integer quotes are exact, every mid is an exact half tick, and
     # the mid differences, and mid - v_T, are exact.
@@ -109,26 +110,16 @@ def _readout(tables: list, bid0: int, ask0: int,
 
 
 def run(config: SimConfig) -> SeriesBundle:
-    """Initialize, iterate `steps` ticks, reconcile, read out the physics
-    of every tick at once, smooth, and bundle the result.
-
-    The loop calls `step` once per tick and writes each outcome tuple
-    into one float64 table of five columns, 40 B a tick, so no tuple
-    outlives its tick.
-    """
+    """Initialize, iterate `steps` ticks, read out the physics of every
+    tick at once, reconcile, smooth, and bundle the result. The loop
+    calls `step` once per tick, pulled by `_readout` after the starting
+    quotes are read from the book."""
     book = OrderBook(config)
-    bid0, ask0 = book.bid, book.ask
-    sampler = AgentSampler(config)
-    # a list that `_readout` empties, so the readout frees the table
-    # part way through
-    tables = [np.fromiter(
-        chain.from_iterable(map(step, repeat(book), repeat(sampler), range(config.steps))),
-        float, 5 * config.steps).reshape(-1, 5)]
-
+    columns = _readout(
+        map(step, repeat(book), repeat(AgentSampler(config)), range(config.steps)),
+        config.steps, book.bid, book.ask, config.collision_probability)
     if not reconcile(book):
         raise RuntimeError("volume ledger failed to reconcile against the journal")
-
-    columns = _readout(tables, bid0, ask0, config.collision_probability)
     return SeriesBundle(
         columns=columns,
         smoothed_mu=smooth_viscosity(columns["mu"], config.viscosity_clamp,

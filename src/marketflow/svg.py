@@ -182,12 +182,13 @@ def _heat_color(frac: float) -> str:
 
 def surface_figure(grid: SurfaceGrid) -> list[bytes]:
     """Heatmap of a Reynolds surface, probability on the vertical axis,
-    as a list of markup parts in file order."""
+    as a list of markup parts in file order. The ramp runs up to the
+    largest finite value; a non-finite cell is drawn at its dark end."""
     cell_w = max(4.0, 560.0 / max(len(grid.x_axis), 1))
     cell_h = max(3.0, 420.0 / max(len(grid.y_axis), 1))
     width = round(cell_w * len(grid.x_axis)) + 90
     height = round(cell_h * len(grid.y_axis)) + 70
-    peak = max((v for row in grid.values for v in row), default=0.0)
+    peak = max((v for row in grid.values for v in row if math.isfinite(v)), default=0.0)
     fixed = ", ".join(f"{k} = {v:g}" for k, v in sorted(grid.fixed_params.items()))
     parts = [
         _svg_head(width, height),
@@ -197,8 +198,8 @@ def surface_figure(grid: SurfaceGrid) -> list[bytes]:
     for i, _p in enumerate(grid.y_axis):
         # larger p drawn higher up
         y = 30 + (len(grid.y_axis) - 1 - i) * cell_h
-        for j, _x in enumerate(grid.x_axis):
-            frac = 0.0 if peak == 0 else grid.values[i][j] / peak
+        for j, v in enumerate(grid.values[i]):
+            frac = 1.0 if not math.isfinite(v) else 0.0 if peak == 0 else v / peak
             parts.append(
                 f'<rect x="{60 + j * cell_w:.2f}" y="{y:.2f}" '
                 f'width="{cell_w:.2f}" height="{cell_h:.2f}" '

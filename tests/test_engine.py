@@ -385,7 +385,7 @@ class TestStepIsThePatchPoint:
         config = SimConfig(collision_probability=0.5, steps=steps, seed=1)
         columns = run(config).columns
         book = OrderBook(config)
-        want = engine._readout([np.array(outcomes, dtype=float)], book.bid, book.ask,
+        want = engine._readout(iter(outcomes), steps, book.bid, book.ask,
                                config.collision_probability)
         assert len(outcomes) == steps
         assert columns["bid"].tolist() == [out[3] for out in outcomes]
@@ -405,16 +405,24 @@ def test_a_run_holds_only_its_own_arrays(steps):
         assert values.base is None, name
 
 
-def test_run_peak_memory_per_tick():
+def test_run_peak_memory_per_tick(monkeypatch):
     # the loop fills one 40 B/tick float64 table and keeps no outcome tuple
     # past its tick; with the whole run's tuples alive the P = 0.5 run
     # peaked at about 410 B/tick. At P = 0 the readout sets the peak: it
     # read 278 B/tick while the table lived to the end of the readout,
     # 262 with the table freed once mu, p_hat and the volume copy exist.
-    # `run` hands the table over in a list that the readout empties, so
-    # the bound does not depend on how the interpreter holds arguments.
+    # `_readout` fills the table itself from the lazy loop, so no caller
+    # can hold it: the last case wraps `_readout` to keep every argument
+    # alive until it returns, as a 3.10 caller does.
     steps = 20000
-    for p, bound in ((0.5, 360), (0.0, 275)):
+    real_readout = engine._readout
+
+    def holding_readout(*args):
+        return real_readout(*args)
+
+    for p, bound, readout in ((0.5, 360, real_readout), (0.0, 275, real_readout),
+                              (0.0, 275, holding_readout)):
+        monkeypatch.setattr(engine, "_readout", readout)
         config = SimConfig(collision_probability=p, steps=steps, seed=1,
                            smoothing_window=200)
         tracemalloc.start()
@@ -424,7 +432,7 @@ def test_run_peak_memory_per_tick():
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak / steps < bound, (p, peak / steps)
+        assert peak / steps < bound, (p, readout.__name__, peak / steps)
 
 
 def test_criterion_5_viscosity_is_twice_the_partial_fill_share():

@@ -246,6 +246,18 @@ class TestSvg:
         xml.dom.minidom.parseString(markup)
         assert "Reynolds surface" in markup
 
+    def test_surface_figure_draws_a_non_finite_cell_darkest(self):
+        # the grid write_grid_csv writes as inf and nan cells: the ramp
+        # runs to the largest finite value, and a non-finite cell is drawn
+        # at its dark end
+        grid = surface_speed([-math.inf, 1.0], [0.0, 0.5], l=1.0)
+        assert str(grid.values) == "[[nan, 0.0], [inf, 1.0]]"
+        doc = xml.dom.minidom.parseString(b"".join(surface_figure(grid)))
+        fills = [rect.getAttribute("fill") for rect in doc.getElementsByTagName("rect")]
+        # the first rect is the background; then row by row, p ascending
+        assert fills[1:] == ["rgb(8,48,107)", "rgb(247,251,255)",
+                             "rgb(8,48,107)", "rgb(8,48,107)"]
+
     def test_infinite_values_do_not_break_the_line_charts(self):
         bundle = run(SimConfig(collision_probability=0.0, steps=10, seed=1))
         xml.dom.minidom.parseString(b"".join(series_figure(bundle)))
