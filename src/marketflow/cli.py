@@ -15,10 +15,9 @@ import argparse
 import os
 import sys
 
-from .config import CONFIG_FIELDS, SimConfig
+from .config import CONFIG_FIELDS, SimConfig, parse_config
 from .engine import run
-from .io import (parse_config, write_batch_csv, write_grid_csv,
-                 write_series_csv)
+from .io import write_batch_csv, write_grid_csv, write_series_csv
 from .sweep import (batch_runs, default_l_grid, default_probability_grid,
                     default_speed_grid, surface_speed, surface_spread)
 

@@ -1,11 +1,12 @@
-"""Simulation configuration."""
+"""`SimConfig`, which checks itself when built, and its `key = value`
+text: the parser, the echo, and the one check that a key is a field."""
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import get_type_hints
+from dataclasses import dataclass, replace
+from typing import Mapping, get_type_hints
 
 from .physics import kernel_weight
 
@@ -105,13 +106,49 @@ class SimConfig:
 CONFIG_FIELDS: dict[str, type] = get_type_hints(SimConfig)
 
 
-def coerce_field(key: str, raw: str):
-    """Parse one config value from text, naming the key on failure."""
-    kind = CONFIG_FIELDS.get(key)
-    if kind is None:
-        raise ValueError(f"unknown config key: {key}")
+def _kind(key: str) -> type:
+    """The type of field `key`; the one check that a key is a field."""
     try:
-        return kind(raw)
-    except ValueError:
-        noun = "integer" if kind is int else "number"
-        raise ValueError(f"invalid {noun} for {key}: {raw!r}") from None
+        return CONFIG_FIELDS[key]
+    except KeyError:
+        raise ValueError(f"unknown config key: {key}") from None
+
+
+def with_values(base: SimConfig, values: Mapping) -> SimConfig:
+    """`base` with `values` set, once every key is known to be a field."""
+    for key in values:
+        _kind(key)
+    return replace(base, **values)
+
+
+def parse_config_lines(lines, source="config") -> dict:
+    """Read `key = value` pairs as their fields' types; # starts a comment."""
+    values = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, rhs = (part.strip() for part in line.partition("="))
+        kind = _kind(key)
+        try:
+            values[key] = kind(rhs)
+        except ValueError:
+            noun = "integer" if kind is int else "number"
+            raise ValueError(f"invalid {noun} for {key}: {rhs!r}") from None
+    return values
+
+
+def parse_config(path: str | None = None, overrides: Mapping | None = None) -> SimConfig:
+    """Defaults, then file values, then explicit overrides."""
+    values = {}
+    if path is not None:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # skips a BOM
+            values = parse_config_lines(fh, source=path)
+    return with_values(SimConfig(), {**values, **(overrides or {})})
+
+
+def config_echo_lines(config: SimConfig) -> list[str]:
+    """Canonical `key = value` lines; repr round-trips every value."""
+    return [f"{name} = {getattr(config, name)!r}" for name in CONFIG_FIELDS]

@@ -1,10 +1,11 @@
-"""Config files, CSV serialization, reproducibility headers.
+"""CSV files and the series header.
 
 Every output file starts with a commented metadata block that echoes
-the full configuration, the seed, and the generator identity, so the
-file alone suffices to reproduce itself. Files are written to a
-temporary sibling and renamed into place; a write that raises removes
-the sibling and leaves the old file as it was.
+the full configuration (as `config`'s echo, which `parse_series_header`
+reads back with `config`'s parser), the seed, and the generator
+identity, so the file alone suffices to reproduce itself. Files are
+written to a temporary sibling and renamed into place; a write that
+raises removes the sibling and leaves the old file as it was.
 
 `series.csv` is formatted and joined a block of whole columns at a
 time by `numfmt`, whose text is that of `%` applied to each value on
@@ -15,13 +16,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
 from .agents import GENERATOR_NAME
-from .config import CONFIG_FIELDS, SimConfig, coerce_field
+from .config import SimConfig, config_echo_lines, parse_config_lines
 from .engine import SeriesBundle
 from .numfmt import formatted, joined, words
 from .physics import REGIMES
@@ -34,40 +34,6 @@ _SERIES = (("t", "t"), ("bid", "bid"), ("ask", "ask"), ("mid", "mid"),
            ("p_hat", "p_hat"), ("mu_raw", "mu"), ("mu_smoothed", "smoothed_mu"),
            ("reynolds_raw", "reynolds"), ("reynolds_smoothed", "smoothed_reynolds"))
 SERIES_COLUMNS = ",".join([header for header, _ in _SERIES] + ["regime"])
-
-
-def parse_config_lines(lines, source="config") -> dict:
-    """Read `key = value` pairs; # starts a comment; unknown keys fail."""
-    values = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, rhs = line.partition("=")
-        key = key.strip()
-        values[key] = coerce_field(key, rhs.strip())
-    return values
-
-
-def parse_config(path: str | None = None, overrides: dict | None = None) -> SimConfig:
-    """Defaults, then file values, then explicit overrides."""
-    values = {}
-    if path is not None:
-        with open(path, "r", encoding="utf-8-sig") as fh:  # skips a BOM
-            values.update(parse_config_lines(fh, source=path))
-    if overrides:
-        for key, val in overrides.items():
-            if key not in CONFIG_FIELDS:
-                raise ValueError(f"unknown config key: {key}")
-            values[key] = val
-    return SimConfig(**values)
-
-
-def config_echo_lines(config: SimConfig) -> list[str]:
-    """Canonical `key = value` lines; repr round-trips every value."""
-    return [f"{f.name} = {getattr(config, f.name)!r}" for f in fields(SimConfig)]
 
 
 def metadata_header(config: SimConfig) -> list[str]:

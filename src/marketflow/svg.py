@@ -182,10 +182,11 @@ def _heat_color(frac: float) -> str:
 
 def surface_figure(grid: SurfaceGrid) -> list[bytes]:
     """Heatmap of a Reynolds surface, probability on the vertical axis,
-    as a list of markup parts in file order. The ramp runs up to the
-    largest finite value; a non-finite cell is drawn at its dark end."""
-    cell_w = max(4.0, 560.0 / max(len(grid.x_axis), 1))
-    cell_h = max(3.0, 420.0 / max(len(grid.y_axis), 1))
+    as a list of markup parts in file order. The ramp runs from 0 up to
+    the largest finite value; a cell below zero is drawn at its light end
+    and a non-finite cell at its dark end."""
+    cell_w = max(4.0, 560.0 / len(grid.x_axis))
+    cell_h = max(3.0, 420.0 / len(grid.y_axis))
     width = round(cell_w * len(grid.x_axis)) + 90
     height = round(cell_h * len(grid.y_axis)) + 70
     peak = max((v for row in grid.values for v in row if math.isfinite(v)), default=0.0)
@@ -199,7 +200,8 @@ def surface_figure(grid: SurfaceGrid) -> list[bytes]:
         # larger p drawn higher up
         y = 30 + (len(grid.y_axis) - 1 - i) * cell_h
         for j, v in enumerate(grid.values[i]):
-            frac = 1.0 if not math.isfinite(v) else 0.0 if peak == 0 else v / peak
+            # in [0, 1]: no finite v exceeds peak, and one below 0 is clamped
+            frac = 1.0 if not math.isfinite(v) else max(v / peak, 0.0) if peak > 0 else 0.0
             parts.append(
                 f'<rect x="{60 + j * cell_w:.2f}" y="{y:.2f}" '
                 f'width="{cell_w:.2f}" height="{cell_h:.2f}" '

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .config import CONFIG_FIELDS, SimConfig
+from .config import SimConfig, with_values
 from .engine import run
 from .physics import REGIMES, DegenerateBookError, reynolds_closed_form
 
@@ -29,13 +29,19 @@ def default_probability_grid() -> list[float]:
 
 @dataclass
 class SurfaceGrid:
-    """A pure tabulation of the closed-form Reynolds number."""
+    """A pure tabulation of the closed-form Reynolds number; each axis
+    holds at least one point."""
 
     x_name: str
     x_axis: list[float]
     y_axis: list[float]          # collision probabilities
     values: list[list[float]]    # values[i][j] at (y_axis[i], x_axis[j])
     fixed_params: dict
+
+    def __post_init__(self) -> None:
+        for name, label in (("x_axis", self.x_name), ("y_axis", "p")):
+            if not getattr(self, name):
+                raise ValueError(f"the surface's {name} ({label}) is empty")
 
 
 def surface_speed(vt_grid: Iterable[float], p_grid: Iterable[float],
@@ -95,25 +101,21 @@ def batch_runs(base: SimConfig, param_grid: Iterable[Mapping],
                seeds: Iterable[int]) -> list[RunSummary]:
     """One summary per (override, seed) cell, in grid-major order.
 
-    Every cell's config is built before the first run, so an invalid
-    cell raises `ValueError` before tick 0. So does a cell key that is
-    not a config field, or is `seed`, which `seeds` sets. A run whose
-    book degenerates is reported in its summary's error field, and the
-    rest of the batch still runs; any other exception is a fault and
-    propagates.
+    Every cell's config is built with `config.with_values` before the
+    first run, so a cell key that is not a config field, or an invalid
+    value, raises `ValueError` before tick 0. So does a cell that sets
+    `seed`, which `seeds` sets. A run whose book degenerates is reported
+    in its summary's error field, and the rest of the batch still runs;
+    any other exception is a fault and propagates.
     """
     cells = list(param_grid)
     if not cells:
         raise ValueError("param_grid must contain at least one cell")
-    for overrides in cells:
-        for key in overrides:
-            if key not in CONFIG_FIELDS:
-                raise ValueError(f"unknown config key in a cell: {key}")
-            if key == "seed":
-                raise ValueError("a cell cannot set seed; the seeds argument does")
+    if any("seed" in cell for cell in cells):
+        raise ValueError("a cell cannot set seed; the seeds argument does")
     seeds = list(seeds)  # read once per cell, so a generator must not run dry
-    configs = [replace(base, seed=seed, **overrides)
-               for overrides in cells for seed in seeds]
+    configs = [with_values(base, {**cell, "seed": seed})
+               for cell in cells for seed in seeds]
     out: list[RunSummary] = []
     for config in configs:
         try:

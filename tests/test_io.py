@@ -7,15 +7,18 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from marketflow import sweep
 from marketflow.book import OrderBook
-from marketflow.config import SimConfig
+from marketflow.config import (
+    SimConfig,
+    config_echo_lines,
+    parse_config,
+    parse_config_lines,
+)
 from marketflow.engine import SeriesBundle, run
 from marketflow.io import (
     SERIES_COLUMNS,
-    config_echo_lines,
     metadata_header,
-    parse_config,
-    parse_config_lines,
     parse_series_header,
     write_batch_csv,
     write_grid_csv,
@@ -28,6 +31,7 @@ from marketflow.sweep import (
     default_probability_grid,
     default_speed_grid,
     surface_speed,
+    surface_spread,
 )
 from same import assert_same
 
@@ -62,11 +66,24 @@ class TestParseConfig:
         path.write_bytes(b"\xef\xbb\xbfseed = 3\n")
         assert parse_config(str(path)) == SimConfig(seed=3)
 
-    def test_unknown_key_is_named(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("stepz = 25\n")
-        with pytest.raises(ValueError, match="stepz"):
-            parse_config(str(path))
+    @pytest.mark.parametrize("entry", ["file", "series_header", "override", "batch_cell"])
+    def test_unknown_key_is_named_at_every_entry(self, tmp_path, monkeypatch, entry):
+        # one key check behind each way a config is built from text or a
+        # mapping; a batch builds every config first, so no run starts
+        runs = []
+        monkeypatch.setattr(sweep, "run", runs.append)
+        cfg, series = tmp_path / "run.cfg", tmp_path / "series.csv"
+        cfg.write_text("stepz = 25\n")
+        series.write_text("# config-begin\n# stepz = 25\n# config-end\nt,bid\n")
+        build = {
+            "file": lambda: parse_config(str(cfg)),
+            "series_header": lambda: parse_series_header(str(series)),
+            "override": lambda: parse_config(None, {"stepz": 25}),
+            "batch_cell": lambda: batch_runs(SimConfig(steps=5), [{}, {"stepz": 25}], [0]),
+        }[entry]
+        with pytest.raises(ValueError, match="^unknown config key: stepz$"):
+            build()
+        assert runs == []
 
     def test_unparsable_value_names_the_key(self):
         with pytest.raises(ValueError, match="steps"):
@@ -81,10 +98,6 @@ class TestParseConfig:
         path.write_text("collision_probability = 1.5\n")
         with pytest.raises(ValueError, match="collision_probability"):
             parse_config(str(path))
-
-    def test_unknown_override_rejected(self):
-        with pytest.raises(ValueError, match="mass"):
-            parse_config(None, {"mass": 3.0})
 
     def test_echo_round_trip(self):
         config = SimConfig(initial_bid=120, initial_spread=3, m=1234.56789,
@@ -257,6 +270,14 @@ class TestSvg:
         # the first rect is the background; then row by row, p ascending
         assert fills[1:] == ["rgb(8,48,107)", "rgb(247,251,255)",
                              "rgb(8,48,107)", "rgb(8,48,107)"]
+        # a cell below zero is drawn at the light end, in range
+        grid = surface_spread([-2.0, 1.0], [0.0, 0.5])
+        assert str(grid.values) == "[[-0.0, 0.0], [-2.0, 1.0]]"
+        doc = xml.dom.minidom.parseString(b"".join(surface_figure(grid)))
+        fills = [rect.getAttribute("fill") for rect in doc.getElementsByTagName("rect")]
+        for fill in fills[1:]:
+            assert all(0 <= int(c) <= 255 for c in fill[4:-1].split(","))
+        assert fills[3] == "rgb(247,251,255)"
 
     def test_infinite_values_do_not_break_the_line_charts(self):
         bundle = run(SimConfig(collision_probability=0.0, steps=10, seed=1))

@@ -47,9 +47,16 @@ class TestSpeedSurface:
             for j, v in enumerate(grid.x_axis):
                 assert grid.values[i][j] == reynolds_closed_form(v, 4.0, p)
 
-    def test_rejects_saturated_probability(self):
-        with pytest.raises(ValueError):
-            surface_speed([1.0], [0.5, 1.0])
+    @pytest.mark.parametrize("vt_grid, p_grid, message", [
+        ([1.0], [0.5, 1.0], r"p must be in \[0, 1\)"),
+        ([], [0.5], r"x_axis \(v_t\) is empty"),
+        ([1.0], [], r"y_axis \(p\) is empty"),
+    ], ids=["saturated", "empty_x_axis", "empty_y_axis"])
+    def test_rejects_saturated_probability(self, vt_grid, p_grid, message):
+        # a saturated p fails in the closed form; an empty axis where the
+        # grid is built, before a figure or a CSV file could be drawn from it
+        with pytest.raises(ValueError, match=message):
+            surface_speed(vt_grid, p_grid)
 
 
 class TestSpreadSurface:
