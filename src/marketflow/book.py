@@ -6,9 +6,10 @@ rests in the book (passive) or trades against the best opposite level
 (active). Fills are capped at that single level: a full fill removes
 it, moves that quote one tick outward, appends one far-end level, and
 any residual agent size rests on the traded side's new best level.
-An agent is one (side, price, size) tuple; `apply_order` takes it whole,
-makes every mutation itself, a full fill included, and returns a tuple
-of what it did.
+An agent arrives as the sampler's draw `(buy, depth)`, with depth None
+for a collision; `apply_order` prices and sizes it from the book, makes
+every mutation itself, a full fill included, and returns a tuple of what
+it did.
 
 Level prices are derived from the quotes, so ten contiguous ticks per
 side, an uncrossed book and positive sizes hold by construction under
@@ -53,10 +54,10 @@ class OrderBook:
     nearer quote is d + spread ticks from the other, and the kernel is
     even in an integer offset, so its size `m * (W(p - bid; h) + W(p -
     ask; h))` is `m * (weights[d] + weights[d + spread])`. The starting
-    levels, the far level after a full fill and the sampler's agents are
-    all sized that way; float addition commutes, so the two starting
-    sides hold the same sizes. The starting quotes are the config's
-    `initial_bid` and `initial_bid + initial_spread`.
+    levels, the far level after a full fill and every agent (at depth 0
+    for a collision) are all sized that way; float addition commutes, so
+    the two starting sides hold the same sizes. The starting quotes are
+    the config's `initial_bid` and `initial_bid + initial_spread`.
     """
 
     def __init__(self, config: SimConfig):
@@ -94,41 +95,43 @@ class OrderBook:
 
 
 def apply_order(book: OrderBook,
-                agent: tuple[Side, int, float]) -> tuple[float, float, float, int, int]:
-    """Apply one agent `(own, price, size)` and return `(volume,
+                draw: tuple[bool, int | None]) -> tuple[float, float, float, int, int]:
+    """Apply one agent, drawn as `(buy, depth)`, and return `(volume,
     obstacle_notional, order_notional, bid, ask)`: the traded volume (0.0
     when it rested), the pre-trade notionals of the obstacle (the best
     opposite level) and of the agent, and the quotes after the trade.
     Only `engine._readout` derives v_T, l and a collision from these.
 
-    Active means the agent's price is the opposite best quote; anything
-    else rests passively on the agent's own side. An agent at least as
-    large as the obstacle fills it fully: unless that hits the price floor
-    (`DegenerateBookError`, book untouched), the quote moves a tick out,
-    the obstacle's size leaves, a far level joins, `consume` and `regen`
-    are journaled, and a residual rests on that side's new best.
+    A collision (depth None) is active at the opposite best quote; any
+    other draw rests on its own level `depth`, at `bid - depth` or `ask +
+    depth`. The agent is sized at its level (depth 0 for a collision) as
+    `OrderBook` describes. An agent at least as large as the obstacle
+    fills it fully: unless that hits the price floor (`DegenerateBookError`,
+    book untouched), the quote moves a tick out, the obstacle's size
+    leaves, a far level joins, `consume` and `regen` are journaled, and a
+    residual rests on that side's new best.
     """
-    own, price, size = agent
+    buy, depth = draw
     bid, ask = book.bid, book.ask
-    if own is BUY:
-        opp, opposite_best, depth = SELL, ask, bid - price
+    if buy:
+        own, opp, opposite_best = BUY, SELL, ask
         own_sizes, opp_sizes = book.buy_sizes, book.sell_sizes
     else:
-        opp, opposite_best, depth = BUY, bid, price - ask
+        own, opp, opposite_best = SELL, BUY, bid
         own_sizes, opp_sizes = book.sell_sizes, book.buy_sizes
     obstacle_size = opp_sizes[0]
     obstacle_notional = obstacle_size * opposite_best
-    order_notional = size * price
+    weights = book.weights
+    level = 0 if depth is None else depth
+    size = book.m * (weights[level] + weights[level + ask - bid])
 
-    if price != opposite_best:
-        if not 0 <= depth < 10:
-            raise ValueError(
-                f"{own.value} price {price} is neither the opposite best "
-                f"nor a resting {own.value} level")
+    if depth is not None:
+        price = bid - depth if buy else ask + depth
         own_sizes[depth] += size
         book.journal.append(("passive", own, price, size))
-        return 0.0, obstacle_notional, order_notional, bid, ask
+        return 0.0, obstacle_notional, size * price, bid, ask
 
+    order_notional = size * opposite_best
     if size >= obstacle_size:  # a full fill
         far = bid - 10 if opp is BUY else ask + 10
         if far < 1:  # the only path that lowers a price
@@ -141,7 +144,6 @@ def apply_order(book: OrderBook,
         else:
             ask = book.ask = ask + 1
         opp_sizes.pop(0)
-        weights = book.weights
         weights.append(kernel_weight(len(weights), book.h))
         far_size = book.m * (weights[9] + weights[-1])  # nine ticks out
         opp_sizes.append(far_size)

@@ -114,6 +114,8 @@ def batch_runs(base: SimConfig, param_grid: Iterable[Mapping],
     if any("seed" in cell for cell in cells):
         raise ValueError("a cell cannot set seed; the seeds argument does")
     seeds = list(seeds)  # read once per cell, so a generator must not run dry
+    if not seeds:
+        raise ValueError("seeds must contain at least one seed")
     configs = [with_values(base, {**cell, "seed": seed})
                for cell in cells for seed in seeds]
     out: list[RunSummary] = []

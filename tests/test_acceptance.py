@@ -18,7 +18,7 @@ from statistics import pvariance
 import numpy as np
 import pytest
 
-from marketflow.book import OrderBook, Side, reconcile
+from marketflow.book import Side, reconcile
 from marketflow.cli import main
 from marketflow.config import SimConfig
 from marketflow.engine import run
@@ -152,7 +152,6 @@ def test_criterion_03_kernel_pin_and_quadrature():
 
 
 def test_criterion_04_sampling_frequencies_within_three_sigma():
-    book = OrderBook(BASE)
     n = 100_000
     failures = []
     for p in (0.15, 0.5, 0.99):
@@ -160,18 +159,15 @@ def test_criterion_04_sampling_frequencies_within_three_sigma():
                                        seed=1000 + int(p * 100)))
         collisions = 0
         buys = 0
-        level_counts = {(side, best + step * i): 0
-                        for side, best, step in ((Side.BUY, book.bid, -1),
-                                                 (Side.SELL, book.ask, 1))
-                        for i in range(10)}
+        level_counts = {(side, depth): 0 for side in Side for depth in range(10)}
         for _ in range(n):
-            side, price, _ = sampler.sample(book)
-            buys += side is Side.BUY
-            collision_price = book.ask if side is Side.BUY else book.bid
-            if price == collision_price:
+            buy, depth = sampler.sample()
+            side = Side.BUY if buy else Side.SELL
+            buys += buy
+            if depth is None:
                 collisions += 1
             else:
-                level_counts[(side, price)] += 1
+                level_counts[(side, depth)] += 1
         sigma_p = math.sqrt(p * (1 - p) / n)
         if abs(collisions / n - p) > 3 * sigma_p:
             failures.append(f"collision@{p}")
@@ -180,11 +176,11 @@ def test_criterion_04_sampling_frequencies_within_three_sigma():
             failures.append(f"side@{p}")
         side_n = {Side.BUY: buys, Side.SELL: n - buys}
         q = (1 - p) / 10
-        for (side, price), count in level_counts.items():
+        for (side, depth), count in level_counts.items():
             m = side_n[side]
             sigma_q = math.sqrt(q * (1 - q) / m)
             if abs(count / m - q) > 3 * sigma_q:
-                failures.append(f"level {side.value}:{price}@{p}")
+                failures.append(f"level {side.value} depth {depth}@{p}")
     ok = not failures
     _report(4, ok, "all frequencies within 3 sigma at P in {0.15, 0.5, 0.99}"
             if ok else f"out of bounds: {failures}")

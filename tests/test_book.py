@@ -1,6 +1,7 @@
 """Unit tests for book construction, matching, and the volume ledger."""
 
 import gc
+import itertools
 import os
 import tracemalloc
 
@@ -69,87 +70,116 @@ class TestInitBook:
             SimConfig(initial_spread=2**16 + 1)
 
 
+def _kernel_size(price, bid, ask):
+    # the reference size at the default m and h
+    return size_at(price, bid, ask, 2000.0, 10.0)
+
+
 class TestPassiveOrders:
     def test_buy_limit_joins_its_level(self):
         book = _book()
-        before = book.buy_sizes[book.bid - 3678]
-        volume, _, _, bid, ask = apply_order(book, (Side.BUY, 3678, 0.25))
-        assert book.buy_sizes[book.bid - 3678] == before + 0.25
+        before = book.buy_sizes[3]
+        volume, _, _, bid, ask = apply_order(book, (True, 3))
+        assert book.buy_sizes[3] == before + _kernel_size(3678, 3681, 3682)
         assert volume == 0.0
         assert (bid, ask) == (3681, 3682)
 
     def test_quotes_unchanged(self):
         book = _book()
-        apply_order(book, (Side.SELL, 3690, 0.5))
+        apply_order(book, (False, 8))
+        assert book.sell_sizes[8] == 2 * _kernel_size(3690, 3681, 3682)
         assert (book.bid, book.ask) == (3681, 3682)
-
-    def test_inadmissible_price_rejected(self):
-        book = _book()
-        # a seller-side price is not in the buyer's space
-        with pytest.raises(ValueError):
-            apply_order(book, (Side.BUY, 3683, 0.1))
-        with pytest.raises(ValueError):
-            apply_order(book, (Side.BUY, 3600, 0.1))
 
 
 class TestActiveOrders:
+    # A collision on an untouched best meets a level of its own size, an
+    # exact tie; a second one meets the smaller old depth-1 level and
+    # leaves a residual. A passive draw at the opposite best doubles the
+    # obstacle, so the next collision fills it partially.
+
+    def test_every_agent_is_sized_by_the_kernel_at_its_price(self):
+        # README's rule, m * (W(p - bid; h) + W(p - ask; h)) at the agent's
+        # price, for all 22 draws on fresh books and on books one full fill in
+        for spread, fills, buy, depth in itertools.product(
+                (1, 20, 2**16), (0, 1), (True, False), (None, *range(10))):
+            book = _book(initial_spread=spread)
+            for _ in range(fills):
+                apply_order(book, (True, None))
+            bid, ask = book.bid, book.ask
+            if depth is None:
+                price = ask if buy else bid
+            else:
+                price = bid - depth if buy else ask + depth
+            _, _, order_notional, _, _ = apply_order(book, (buy, depth))
+            assert order_notional == size_at(price, bid, ask, book.m, book.h) * price, \
+                (spread, fills, buy, depth)
+        # at the reference configuration the best-quote size is about 0.7148
+        _, _, order_notional, _, _ = apply_order(_book(), (False, None))
+        assert abs(order_notional / 3681 - 0.7148) < 5e-5
+
     def test_exact_full_fill_moves_ask_up_one_tick(self):
         book = _book()
-        ask_size = book.sell_sizes[3682 - book.ask]
-        volume, _, _, bid, ask = apply_order(book, (Side.BUY, 3682, ask_size))
+        ask_size = book.sell_sizes[0]
+        volume, _, _, bid, ask = apply_order(book, (True, None))
         assert volume == ask_size
         assert (bid, ask) == (book.bid, book.ask) == (3681, 3683)
         assert book.ask - book.bid == 2
+        assert [entry[0] for entry in book.journal[20:]] == ["consume", "regen"]
 
     def test_sell_full_fill_moves_bid_down(self):
         book = _book()
-        bid_size = book.buy_sizes[book.bid - 3681]
-        _, _, _, bid, ask = apply_order(book, (Side.SELL, 3681, bid_size + 1e-9))
+        _, _, _, bid, ask = apply_order(book, (False, None))
         assert (bid, ask) == (book.bid, book.ask) == (3680, 3682)
 
     def test_full_fill_regenerates_the_far_end(self):
         book = _book()
-        ask_size = book.sell_sizes[3682 - book.ask]
-        apply_order(book, (Side.BUY, 3682, ask_size))
+        apply_order(book, (True, None))
         assert len(book.sell_sizes) == 10
         assert book.ask + len(book.sell_sizes) - 1 == 3692
         # sized against the post-removal anchors
-        assert book.sell_sizes[3692 - book.ask] == \
-            size_at(3692, 3681, 3683, 2000.0, 10.0)
+        assert book.sell_sizes[3692 - book.ask] == _kernel_size(3692, 3681, 3683)
 
     def test_residual_rests_on_the_new_best(self):
         book = _book()
-        ask_size = book.sell_sizes[3682 - book.ask]
-        next_before = book.sell_sizes[3683 - book.ask]
-        agent_size = ask_size + 0.375
-        apply_order(book, (Side.BUY, 3682, agent_size))
-        assert book.ask == 3683
+        apply_order(book, (True, None))
+        obstacle = book.sell_sizes[0]
+        next_before = book.sell_sizes[1]
+        agent_size = _kernel_size(3683, 3681, 3683)
+        assert agent_size > obstacle
+        volume, _, _, _, ask = apply_order(book, (True, None))
+        assert volume == obstacle
+        assert ask == book.ask == 3684
         # the posted residual is agent size minus the consumed volume
-        assert book.sell_sizes[3683 - book.ask] == \
-            next_before + (agent_size - ask_size)
+        assert book.sell_sizes[0] == next_before + (agent_size - obstacle)
+        assert book.journal[-1] == ("residual", Side.SELL, 3684, agent_size - obstacle)
 
     def test_partial_fill_shrinks_the_level_in_place(self):
         book = _book()
-        bid_size = book.buy_sizes[book.bid - 3681]
-        volume, _, _, bid, ask = apply_order(book, (Side.SELL, 3681, bid_size / 2))
-        assert volume == bid_size / 2
+        apply_order(book, (True, 0))
+        bid_size = book.buy_sizes[0]
+        agent_size = _kernel_size(3681, 3681, 3682)
+        assert bid_size == 2 * agent_size
+        volume, _, _, bid, ask = apply_order(book, (False, None))
+        assert volume == agent_size
         assert (bid, ask) == (book.bid, book.ask) == (3681, 3682)
-        assert book.buy_sizes[book.bid - 3681] == bid_size - bid_size / 2
+        assert book.buy_sizes[0] == bid_size - agent_size
 
     def test_outcome_captures_pretrade_notionals(self):
         book = _book()
-        ask_size = book.sell_sizes[3682 - book.ask]
+        apply_order(book, (False, 0))
+        ask_size = book.sell_sizes[0]
+        agent_size = _kernel_size(3682, 3681, 3682)
         volume, obstacle_notional, order_notional, _, _ = \
-            apply_order(book, (Side.BUY, 3682, 0.125))
+            apply_order(book, (True, None))
         assert obstacle_notional == ask_size * 3682
-        assert order_notional == 0.125 * 3682
-        assert volume == 0.125
+        assert order_notional == agent_size * 3682
+        assert volume == agent_size
 
     def test_deterministic(self):
         results = []
         for _ in range(2):
             book = _book()
-            out = apply_order(book, (Side.BUY, 3682, 0.3))
+            out = apply_order(book, (True, None))
             results.append((out, book.ask, list(book.sell_sizes)))
         assert results[0] == results[1]
 
@@ -157,17 +187,15 @@ class TestActiveOrders:
 class TestRegeneration:
     def test_buy_side_extends_downward(self):
         book = _book()
-        bid_size = book.buy_sizes[book.bid - 3681]
-        apply_order(book, (Side.SELL, 3681, bid_size))
+        apply_order(book, (False, None))
         assert book.bid - (len(book.buy_sizes) - 1) == 3671
-        assert book.buy_sizes[book.bid - 3671] == \
-            size_at(3671, 3680, 3682, 2000.0, 10.0)
+        assert book.buy_sizes[book.bid - 3671] == _kernel_size(3671, 3680, 3682)
 
 
 class TestCheck:
     def test_non_positive_size_is_a_typed_error(self):
         book = _book()
-        apply_order(book, (Side.BUY, 3678, -1e6))
+        book.buy_sizes[3] = -1e6
         with pytest.raises(DegenerateBookError, match="buy level 3678"):
             book.check()
 
@@ -205,7 +233,7 @@ class TestSpreadDirection:
         sampler = AgentSampler(config)
         spread = book.ask - book.bid
         for _ in range(400):
-            apply_order(book, sampler.sample(book))
+            apply_order(book, sampler.sample())
             book.check()
             assert book.ask - book.bid >= spread
             spread = book.ask - book.bid
@@ -218,7 +246,7 @@ class TestLedger:
             book = OrderBook(config)
             sampler = AgentSampler(config)
             for _ in range(300):
-                apply_order(book, sampler.sample(book))
+                apply_order(book, sampler.sample())
             assert reconcile(book)
 
     def test_size_changed_without_an_entry_fails(self):
@@ -229,10 +257,11 @@ class TestLedger:
     @pytest.mark.parametrize(
         "op", ["init", "passive", "trade", "consume", "regen", "residual"])
     def test_altered_journal_amount_fails(self, op):
+        # passive, a passive doubling the ask, a partial fill against it,
+        # a full fill on an exact tie and one with a residual
         book = _book()
-        apply_order(book, (Side.BUY, 3680, 0.4))
-        apply_order(book, (Side.SELL, 3681, 0.1))
-        apply_order(book, (Side.BUY, 3682, book.sell_sizes[0] + 0.1))
+        for draw in ((True, 1), (False, 0), (True, None), (True, None), (True, None)):
+            apply_order(book, draw)
         assert reconcile(book) is True
         i = next(i for i, entry in enumerate(book.journal) if entry[0] == op)
         tag, side, price, amount = book.journal[i]
@@ -267,7 +296,7 @@ class TestLedger:
         # the regenerated levels and the final sizes still line up
         book = _book()
         for _ in range(2):
-            apply_order(book, (Side.BUY, book.ask, book.sell_sizes[0]))
+            apply_order(book, (True, None))
         assert reconcile(book) is True
         first, second = (i for i, entry in enumerate(book.journal)
                          if entry[0] == "consume")
@@ -302,9 +331,8 @@ class TestLedger:
 
     def test_journal_tags_cover_every_mutation(self):
         book = _book()
-        ask_size = book.sell_sizes[3682 - book.ask]
-        apply_order(book, (Side.BUY, 3678, 0.2))
-        apply_order(book, (Side.BUY, 3682, ask_size + 0.1))
+        for draw in ((True, 3), (True, None), (True, None)):
+            apply_order(book, draw)
         ops = [entry[0] for entry in book.journal]
         assert ops.count("init") == 20
         assert "passive" in ops
@@ -350,6 +378,7 @@ class TestLedger:
 
     def test_journal_records_passive_traffic(self):
         book = _book()
-        apply_order(book, (Side.BUY, 3680, 0.4))
-        assert book.journal[-1] == ("passive", Side.BUY, 3680, 0.4)
+        apply_order(book, (True, 1))
+        assert book.journal[-1] == ("passive", Side.BUY, 3680,
+                                    _kernel_size(3680, 3681, 3682))
         assert reconcile(book) is True

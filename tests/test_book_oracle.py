@@ -3,12 +3,17 @@
 The model is written from README's "Model" section and shares no code
 with `marketflow.book`: each side is a `{price: size}` dict with stored
 prices, so a full fill deletes one key and adds another. Hypothesis
-draws the agents directly, not through the sampler: either side, a price
-at the opposite best or at one of the ten own levels, and a size that is
-the kernel size, an exact tie with the obstacle, one ulp below the tie
-or any positive normal float. So the passive, partial, full and residual
-paths and the boundary between the last two are all reached, and
-machines that start at bids 10-30 reach the price floor.
+draws the agents directly, not through the sampler: either side, and a
+collision with the opposite best or one of the ten own depths. The
+model prices and sizes each draw itself, and each machine draws its own
+kernel (m, h), so the sizes span many magnitudes. A passive draw at the
+opposite best doubles the obstacle, so the next collision fills it
+partially; the first collision on an untouched best meets a level of
+its own size, an exact tie; a later one may leave a residual. So the
+passive, partial, full and residual paths and the boundary between the
+last two are all reached, and machines that start at bids 10-30 reach
+the price floor. Each agent names its path as a hypothesis event, which
+`--hypothesis-show-statistics` counts.
 
 After every rule the book and the model agree exactly, with `==` on
 floats: the quotes, the sizes by price and the journal, and after every
@@ -18,7 +23,6 @@ the journal and checks `reconcile`'s verdict on it (see `_neutral`).
 
 import copy
 import math
-import sys
 
 import pytest
 
@@ -56,12 +60,18 @@ class Model:
         return self.m * (_weight(price - self.bid, self.h)
                          + _weight(price - self.ask, self.h))
 
-    def apply(self, side, price, size):
-        """(volume, obstacle notional, order notional) of one agent. At
-        the price floor it raises `DegenerateBookError` and changes
-        nothing."""
+    def apply(self, side, depth):
+        """(volume, obstacle notional, order notional) of one agent at the
+        opposite best (depth None) or at own level `depth`, sized at its
+        price. At the price floor it raises `DegenerateBookError` and
+        changes nothing."""
         opp = SELL if side is BUY else BUY
         best = self.ask if side is BUY else self.bid
+        if depth is None:
+            price = best
+        else:
+            price = self.bid - depth if side is BUY else self.ask + depth
+        size = self.size_at(price)
         levels = self.levels[opp]
         obstacle = levels[best]
         notionals = (obstacle * best, size * price)
@@ -178,22 +188,25 @@ def _corruptions(journal, i):
         yield "swap", swapped
 
 
-# (side, own depth or None for the opposite best, size or how to size it)
-AGENTS = st.tuples(
-    st.sampled_from(Side),
-    st.none() | st.integers(0, 9),
-    st.sampled_from(("kernel", "tie", "below tie"))
-    | st.floats(sys.float_info.min, 1e300, allow_subnormal=False))
+# (side, own depth or None for the opposite best)
+AGENTS = st.tuples(st.sampled_from(Side), st.none() | st.integers(0, 9))
 AGENT_LISTS = st.lists(AGENTS, min_size=1, max_size=10)
+
+# The journal tags of one agent, by the path it took.
+PATHS = {("passive",): "passive", ("trade",): "partial",
+         ("consume", "regen"): "full, no residual",
+         ("consume", "regen", "residual"): "full with residual"}
 
 
 class BookMachine(RuleBasedStateMachine):
     @initialize(bid=st.one_of(st.integers(10, 30), st.just(3681)),
-                spread=st.integers(1, 20), agents=AGENT_LISTS)
-    def start(self, bid, spread, agents):
-        """A fresh book, and agents, so that the first corruption finds
-        more than the inits."""
-        config = SimConfig(initial_bid=bid, initial_spread=spread)
+                spread=st.integers(1, 20),
+                m=st.floats(1e-3, 1e12), h=st.floats(0.5, 100.0),
+                agents=AGENT_LISTS)
+    def start(self, bid, spread, m, h, agents):
+        """A fresh book with its own kernel, and agents, so that the first
+        corruption finds more than the inits."""
+        config = SimConfig(initial_bid=bid, initial_spread=spread, m=m, h=h)
         self.book = OrderBook(config)
         self.model = Model(bid, bid + spread, config.m, config.h)
         self.act(agents)
@@ -202,35 +215,25 @@ class BookMachine(RuleBasedStateMachine):
     def act(self, agents):
         """A few agents, each compared on its own: hypothesis ends most
         runs after a handful of rules."""
-        for side, depth, size in agents:
-            self.agent(side, depth, size)
+        for side, depth in agents:
+            self.agent(side, depth)
             self.compare()
 
-    def agent(self, side, depth, size):
+    def agent(self, side, depth):
         """One agent at the opposite best (depth None) or at own level
-        `depth`."""
+        `depth`, drawn as the sampler draws it."""
         model = self.model
-        best = model.ask if side is BUY else model.bid
-        if depth is None:
-            price = best
-        else:
-            price = model.bid - depth if side is BUY else model.ask + depth
-        obstacle = model.levels[SELL if side is BUY else BUY][best]
-        if size == "kernel":
-            size = model.size_at(price)
-        elif size == "tie":
-            size = obstacle
-        elif size == "below tie":
-            size = math.nextafter(obstacle, 0.0)
+        draw = (side is BUY, depth)
         before = len(model.journal)
         try:
-            want = model.apply(side, price, size)
+            want = model.apply(side, depth)
         except DegenerateBookError:
-            event("price floor")
+            event("path: price floor")
             with pytest.raises(DegenerateBookError, match="price floor"):
-                apply_order(self.book, (side, price, size))
+                apply_order(self.book, draw)
             return  # `compare` finds both books unchanged
-        assert apply_order(self.book, (side, price, size)) == (*want, model.bid, model.ask)
+        event("path: " + PATHS[tuple(entry[0] for entry in model.journal[before:])])
+        assert apply_order(self.book, draw) == (*want, model.bid, model.ask)
         assert self.book.journal[before:] == model.journal[before:]
 
     @rule(data=st.data())

@@ -10,7 +10,7 @@ import pytest
 
 from marketflow import engine
 from marketflow.agents import AgentSampler
-from marketflow.book import OrderBook, Side, apply_order, reconcile
+from marketflow.book import OrderBook, apply_order, reconcile
 from marketflow.config import SimConfig
 from marketflow.engine import run, smooth_series, smooth_viscosity
 from marketflow.physics import DegenerateBookError, FlowRegime, TickRecord
@@ -276,18 +276,17 @@ def _scalar_ticks(config):
     """The run's records from a plain-Python tick loop, the reference for
     the column readout. It reads nothing the readout derives: v_T and l
     come from the live quotes before and after each `apply_order`, and
-    the collision flag from the matching rule, an agent priced at the
-    pre-trade opposite best."""
+    the collision flag from the draw, whose depth is None for an agent
+    at the pre-trade opposite best."""
     book = OrderBook(config)
     sampler = AgentSampler(config)
     p = config.collision_probability
     ticks = []
     for t in range(config.steps):
         bid, ask = book.bid, book.ask
-        side, price, size = sampler.sample(book)
-        collided = price == (ask if side is Side.BUY else bid)
-        volume, obstacle_notional, order_notional, _, _ = \
-            apply_order(book, (side, price, size))
+        draw = sampler.sample()
+        collided = draw[1] is None
+        volume, obstacle_notional, order_notional, _, _ = apply_order(book, draw)
         # the readout's rule: a tick collided exactly when it traded volume
         assert (volume > 0.0) == collided
         mid = (book.bid + book.ask) / 2.0

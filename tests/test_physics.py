@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from marketflow.book import OrderBook, Side, apply_order
+from marketflow.book import OrderBook, apply_order
 from marketflow.config import SimConfig
 from marketflow.physics import (
     REGIMES,
@@ -158,17 +158,19 @@ class TestCollisionRatio:
     def test_price_floor_keeps_obstacle_notionals_positive(self):
         # every level sits at price >= 1, so an obstacle notional is a
         # positive size times a price >= 1; the full fill that would put
-        # a buy level at price 0 raises and leaves the book untouched
+        # a buy level at price 0 raises and leaves the book untouched.
+        # Each sell collision fills the bid fully: the first on an exact
+        # tie, the second on the smaller old depth-1 level.
         book = OrderBook(SimConfig(initial_bid=11))
         _, obstacle_notional, order_notional, _, _ = \
-            apply_order(book, (Side.SELL, 11, book.buy_sizes[0]))
+            apply_order(book, (False, None))
         assert book.bid - (len(book.buy_sizes) - 1) == 1
         assert collision_ratio(order_notional, obstacle_notional, True) > 0.0
         state = (book.bid, book.ask, list(book.buy_sizes),
                  list(book.sell_sizes), list(book.journal))
         with pytest.raises(DegenerateBookError,
                            match=r"^price floor: .* bid 10 \(ask 12\) .* price 0$") as caught:
-            apply_order(book, (Side.SELL, 10, book.buy_sizes[0]))
+            apply_order(book, (False, None))
         assert (f" with best sizes {book.buy_sizes[0]!r} (buy) and "
                 f"{book.sell_sizes[0]!r} (sell) " in str(caught.value))
         assert state == (book.bid, book.ask, list(book.buy_sizes),

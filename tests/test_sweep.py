@@ -161,3 +161,8 @@ class TestBatchRuns:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             batch_runs(SimConfig(), [], seeds=[0])
+
+    def test_rejects_empty_seeds(self):
+        # with no seed there is no run, and so no cell would be checked
+        with pytest.raises(ValueError, match="seeds"):
+            batch_runs(SimConfig(), [{"stepz": 1}, {"collision_probability": 5.0}], [])
