@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from marketflow.agents import BLOCK, GENERATOR_NAME, AgentSampler
+from marketflow.book import OrderBook, apply_order
 from marketflow.config import SimConfig
+from reference import size_at
 
 
 def _sampler(p, seed):
@@ -78,6 +80,37 @@ def test_zero_probability_never_collides_and_levels_are_uniform():
     assert len(counts) == 20
     for c in counts.values():
         assert abs(c / n - q) <= 3 * sigma
+
+
+def _priced(book, draw):
+    # the price `apply_order` gives a draw on this book
+    buy, depth = draw
+    if depth is None:
+        return book.ask if buy else book.bid
+    return book.bid - depth if buy else book.ask + depth
+
+
+def test_size_is_the_kernel_value_at_the_price():
+    sampler = _sampler(0.5, 3)
+    for _ in range(200):
+        book = OrderBook(SimConfig())
+        draw = sampler.sample()
+        price = _priced(book, draw)
+        size = size_at(price, book.bid, book.ask, 2000.0, 10.0)
+        _, _, order_notional, _, _ = apply_order(book, draw)
+        assert order_notional == size * price, draw
+        assert size > 0
+
+
+def test_collision_size_pin():
+    # at the reference configuration the best-quote size is about 0.7148
+    book = OrderBook(SimConfig())
+    sampler = _sampler(1.0, 0)
+    draw = sampler.sample()
+    price = _priced(book, draw)
+    assert price in (book.bid, book.ask)
+    _, _, order_notional, _, _ = apply_order(book, draw)
+    assert abs(order_notional / price - 0.7148) < 5e-5
 
 
 # Probabilities at the edges of `random() < p`: the smallest subnormal,
