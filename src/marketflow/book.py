@@ -8,8 +8,9 @@ it, moves that quote one tick outward, appends one far-end level, and
 any residual agent size rests on the traded side's new best level.
 An agent arrives as the sampler's draw `(buy, depth)`, with depth None
 for a collision; `apply_order` prices and sizes it from the book, makes
-every mutation itself, a full fill included, and returns a tuple of what
-it did.
+every mutation itself, a full fill included, journals each as `(tag,
+buy, price, amount)`, with `buy` True for an entry on the buy side, and
+returns a tuple of what it did.
 
 Level prices are derived from the quotes, so ten contiguous ticks per
 side, an uncrossed book and positive sizes hold by construction under
@@ -24,20 +25,9 @@ fill.
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 from .config import SimConfig
 from .physics import DegenerateBookError, kernel_weight
-
-
-class Side(Enum):
-    BUY = "buy"
-    SELL = "sell"
-
-
-# Module-level members for the hot paths: `Side.BUY` is a Python-level
-# Enum descriptor lookup, a global is a dict hit.
-BUY, SELL = Side
 
 
 class OrderBook:
@@ -47,7 +37,8 @@ class OrderBook:
     side: prices are derived, never stored, so ordering, contiguity and
     the level count hold by construction. Passive orders add to sizes,
     partial fills shrink them, and the journal records each of those
-    float operations at its level's price. The book holds the run's
+    float operations as `(tag, buy, price, amount)` at its level's price
+    and side (`buy` True for the buy side). The book holds the run's
     kernel (m, h) and its weights by tick offset, `weights[r] =
     kernel_weight(r, h)` for r = 0 ... spread + 9; a full fill widens the
     spread by one and appends one weight. A level d ticks outside its
@@ -67,9 +58,9 @@ class OrderBook:
         self.weights = weights = [kernel_weight(r, h) for r in range(ask - bid + 10)]
         self.buy_sizes = [m * (weights[i] + weights[i + ask - bid]) for i in range(10)]
         self.sell_sizes = self.buy_sizes.copy()
-        self.journal: list[tuple[str, Side, int, float]] = (
-            [("init", BUY, bid - i, size) for i, size in enumerate(self.buy_sizes)]
-            + [("init", SELL, ask + i, size) for i, size in enumerate(self.sell_sizes)])
+        self.journal: list[tuple[str, bool, int, float]] = (
+            [("init", True, bid - i, size) for i, size in enumerate(self.buy_sizes)]
+            + [("init", False, ask + i, size) for i, size in enumerate(self.sell_sizes)])
 
     def check(self) -> None:
         """Ten positive sizes per side and an uncrossed book; the first
@@ -80,14 +71,14 @@ class OrderBook:
         Runs do not call this: `reconcile` witnesses every step. It is
         for the final book and for a book altered by hand.
         """
-        for side, sizes, best, step in ((BUY, self.buy_sizes, self.bid, -1),
-                                        (SELL, self.sell_sizes, self.ask, 1)):
+        for side, sizes, best, step in (("buy", self.buy_sizes, self.bid, -1),
+                                        ("sell", self.sell_sizes, self.ask, 1)):
             if len(sizes) != 10:
                 raise DegenerateBookError(
-                    f"{side.value} side holds {len(sizes)} levels, want 10")
+                    f"{side} side holds {len(sizes)} levels, want 10")
             for i, size in enumerate(sizes):
                 if not size > 0:
-                    raise DegenerateBookError(f"{side.value} level {best + step * i} "
+                    raise DegenerateBookError(f"{side} level {best + step * i} "
                                               f"has non-positive size {size!r}")
         if self.bid >= self.ask:
             raise DegenerateBookError(
@@ -109,16 +100,15 @@ def apply_order(book: OrderBook,
     fills it fully: unless that hits the price floor (`DegenerateBookError`,
     book untouched), the quote moves a tick out, the obstacle's size
     leaves, a far level joins, `consume` and `regen` are journaled, and a
-    residual rests on that side's new best.
+    residual rests on that side's new best. A passive entry carries the
+    draw's `buy`; every other entry carries `not buy`, the obstacle's side.
     """
     buy, depth = draw
     bid, ask = book.bid, book.ask
     if buy:
-        own, opp, opposite_best = BUY, SELL, ask
-        own_sizes, opp_sizes = book.buy_sizes, book.sell_sizes
+        opposite_best, own_sizes, opp_sizes = ask, book.buy_sizes, book.sell_sizes
     else:
-        own, opp, opposite_best = SELL, BUY, bid
-        own_sizes, opp_sizes = book.sell_sizes, book.buy_sizes
+        opposite_best, own_sizes, opp_sizes = bid, book.sell_sizes, book.buy_sizes
     obstacle_size = opp_sizes[0]
     obstacle_notional = obstacle_size * opposite_best
     weights = book.weights
@@ -128,36 +118,36 @@ def apply_order(book: OrderBook,
     if depth is not None:
         price = bid - depth if buy else ask + depth
         own_sizes[depth] += size
-        book.journal.append(("passive", own, price, size))
+        book.journal.append(("passive", buy, price, size))
         return 0.0, obstacle_notional, size * price, bid, ask
 
     order_notional = size * opposite_best
     if size >= obstacle_size:  # a full fill
-        far = bid - 10 if opp is BUY else ask + 10
+        far = ask + 10 if buy else bid - 10
         if far < 1:  # the only path that lowers a price
             raise DegenerateBookError(
                 f"price floor: a full fill at bid {bid} (ask {ask}) "
                 f"with best sizes {book.buy_sizes[0]!r} (buy) and "
                 f"{book.sell_sizes[0]!r} (sell) would put a buy level at price {far}")
-        if opp is BUY:
-            bid = book.bid = bid - 1
-        else:
+        if buy:
             ask = book.ask = ask + 1
+        else:
+            bid = book.bid = bid - 1
         opp_sizes.pop(0)
         weights.append(kernel_weight(len(weights), book.h))
         far_size = book.m * (weights[9] + weights[-1])  # nine ticks out
         opp_sizes.append(far_size)
         journal = book.journal
-        journal += (("consume", opp, opposite_best, obstacle_size),
-                    ("regen", opp, far, far_size))
+        journal += (("consume", not buy, opposite_best, obstacle_size),
+                    ("regen", not buy, far, far_size))
         residual = size - obstacle_size
         if residual > 0.0:
             opp_sizes[0] += residual
-            journal.append(("residual", opp, ask if opp is SELL else bid, residual))
+            journal.append(("residual", not buy, ask if buy else bid, residual))
         return obstacle_size, obstacle_notional, order_notional, bid, ask
 
     opp_sizes[0] -= size
-    book.journal.append(("trade", opp, opposite_best, size))
+    book.journal.append(("trade", not buy, opposite_best, size))
     return size, obstacle_notional, order_notional, bid, ask
 
 
@@ -168,26 +158,25 @@ def reconcile(book: OrderBook) -> bool:
     moved quote, and the replay rebuilds the live book's quotes, and both
     its sides bit for bit.
 
-    The replay repeats the book's float operations in the same order, so
-    a size changed without a journal entry, or an entry whose amount or
-    price the book did not apply, shows up as a mismatch. These checks
-    stand in for a per-tick `OrderBook.check`.
+    Each entry's bool `buy` picks the side it replays on. The replay
+    repeats the book's float operations in the same order, so a size
+    changed without a journal entry, or an entry whose amount or price
+    the book did not apply, shows up as a mismatch. These checks stand
+    in for a per-tick `OrderBook.check`.
     """
-    # The loop picks each side's dict by identity: indexing a Side-keyed
-    # dict per entry would hash an Enum, which is Python-level.
     buy_sizes: dict[int, float] = {}
     sell_sizes: dict[int, float] = {}
     # The replayed quotes; unset, they cannot cross.
     bid, ask = -math.inf, math.inf
     try:
         for op, side, price, amount in book.journal:
-            sizes = buy_sizes if side is BUY else sell_sizes
+            sizes = buy_sizes if side else sell_sizes
             if op == "passive" or op == "residual":
                 size = sizes[price] + amount
             elif op == "trade":
                 size = sizes[price] - amount
             elif op == "consume":
-                if side is BUY:
+                if side:
                     best, bid = bid, bid - 1
                 else:
                     best, ask = ask, ask + 1
@@ -195,12 +184,12 @@ def reconcile(book: OrderBook) -> bool:
                     return False
                 continue
             elif op == "regen":
-                if price != (bid - 9 if side is BUY else ask + 9):
+                if price != (bid - 9 if side else ask + 9):
                     return False
                 size = amount
             elif op == "init":
                 if not sizes:  # a side's first level is its best
-                    bid, ask = (price, ask) if side is BUY else (bid, price)
+                    bid, ask = (price, ask) if side else (bid, price)
                     # The bid never rises and the ask never falls, so an
                     # uncrossed start is an uncrossed book at every step.
                     if not bid < ask:

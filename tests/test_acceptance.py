@@ -18,7 +18,7 @@ from statistics import pvariance
 import numpy as np
 import pytest
 
-from marketflow.book import Side, reconcile
+from marketflow.book import reconcile
 from marketflow.cli import main
 from marketflow.config import SimConfig
 from marketflow.engine import run
@@ -159,28 +159,27 @@ def test_criterion_04_sampling_frequencies_within_three_sigma():
                                        seed=1000 + int(p * 100)))
         collisions = 0
         buys = 0
-        level_counts = {(side, depth): 0 for side in Side for depth in range(10)}
+        level_counts = {(buy, depth): 0 for buy in (True, False) for depth in range(10)}
         for _ in range(n):
             buy, depth = sampler.sample()
-            side = Side.BUY if buy else Side.SELL
             buys += buy
             if depth is None:
                 collisions += 1
             else:
-                level_counts[(side, depth)] += 1
+                level_counts[(buy, depth)] += 1
         sigma_p = math.sqrt(p * (1 - p) / n)
         if abs(collisions / n - p) > 3 * sigma_p:
             failures.append(f"collision@{p}")
         sigma_side = math.sqrt(0.25 / n)
         if abs(buys / n - 0.5) > 3 * sigma_side:
             failures.append(f"side@{p}")
-        side_n = {Side.BUY: buys, Side.SELL: n - buys}
+        side_n = {True: buys, False: n - buys}
         q = (1 - p) / 10
-        for (side, depth), count in level_counts.items():
-            m = side_n[side]
+        for (buy, depth), count in level_counts.items():
+            m = side_n[buy]
             sigma_q = math.sqrt(q * (1 - q) / m)
             if abs(count / m - q) > 3 * sigma_q:
-                failures.append(f"level {side.value} depth {depth}@{p}")
+                failures.append(f"level {'buy' if buy else 'sell'} depth {depth}@{p}")
     ok = not failures
     _report(4, ok, "all frequencies within 3 sigma at P in {0.15, 0.5, 0.99}"
             if ok else f"out of bounds: {failures}")

@@ -30,11 +30,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import event, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from marketflow.book import OrderBook, Side, apply_order, reconcile
+from marketflow.book import OrderBook, apply_order, reconcile
 from marketflow.config import SimConfig
 from marketflow.physics import DegenerateBookError
-
-BUY, SELL = Side
 
 
 def _weight(r, h):
@@ -44,14 +42,15 @@ def _weight(r, h):
 
 
 class Model:
-    """README's book: ten levels per side at stored integer prices."""
+    """README's book: ten levels per side at stored integer prices, keyed
+    by side as the journal names it, True for the buy side."""
 
     def __init__(self, bid, ask, m, h):
         self.bid, self.ask, self.m, self.h = bid, ask, m, h
-        self.levels = {BUY: {}, SELL: {}}
+        self.levels = {True: {}, False: {}}
         self.journal = []
-        for side, prices in ((BUY, range(bid, bid - 10, -1)),
-                             (SELL, range(ask, ask + 10))):
+        for side, prices in ((True, range(bid, bid - 10, -1)),
+                             (False, range(ask, ask + 10))):
             for price in prices:
                 self.levels[side][price] = size = self.size_at(price)
                 self.journal.append(("init", side, price, size))
@@ -60,24 +59,24 @@ class Model:
         return self.m * (_weight(price - self.bid, self.h)
                          + _weight(price - self.ask, self.h))
 
-    def apply(self, side, depth):
-        """(volume, obstacle notional, order notional) of one agent at the
-        opposite best (depth None) or at own level `depth`, sized at its
-        price. At the price floor it raises `DegenerateBookError` and
-        changes nothing."""
-        opp = SELL if side is BUY else BUY
-        best = self.ask if side is BUY else self.bid
+    def apply(self, buy, depth):
+        """(volume, obstacle notional, order notional) of one agent on the
+        buy side or not, at the opposite best (depth None) or at own level
+        `depth`, sized at its price. At the price floor it raises
+        `DegenerateBookError` and changes nothing."""
+        opp = not buy
+        best = self.ask if buy else self.bid
         if depth is None:
             price = best
         else:
-            price = self.bid - depth if side is BUY else self.ask + depth
+            price = self.bid - depth if buy else self.ask + depth
         size = self.size_at(price)
         levels = self.levels[opp]
         obstacle = levels[best]
         notionals = (obstacle * best, size * price)
         if price != best:  # rests on one of its own ten levels
-            self.levels[side][price] += size
-            self.journal.append(("passive", side, price, size))
+            self.levels[buy][price] += size
+            self.journal.append(("passive", buy, price, size))
             return (0.0, *notionals)
         if size < obstacle:  # partial fill: the level shrinks in place
             levels[best] -= size
@@ -85,12 +84,12 @@ class Model:
             return (size, *notionals)
         # full fill: the level goes, its quote moves a tick outward and
         # the side regenerates one level at the far end
-        outward = 1 if opp is SELL else -1
+        outward = 1 if buy else -1
         far = best + 10 * outward
         if far < 1:
             raise DegenerateBookError("price floor")
         del levels[best]
-        if opp is SELL:
+        if buy:
             self.ask += 1
         else:
             self.bid -= 1
@@ -107,7 +106,7 @@ def _quote_history(journal):
     """Per side, the prices of its first init and of its consumes and
     regens, in order: the only entries at which the replay reads or
     moves a quote."""
-    history = {BUY: [], SELL: []}
+    history = {True: [], False: []}
     for op, side, price, _ in journal:
         if op in ("consume", "regen") or (op == "init" and not history[side]):
             history[side].append((op, price))
@@ -136,8 +135,8 @@ def _levels_ok(journal, book):
         if not size > 0.0:
             return False
         sizes[key] = size
-    return sizes == ({(BUY, book.bid - i): s for i, s in enumerate(book.buy_sizes)}
-                     | {(SELL, book.ask + i): s for i, s in enumerate(book.sell_sizes)})
+    return sizes == ({(True, book.bid - i): s for i, s in enumerate(book.buy_sizes)}
+                     | {(False, book.ask + i): s for i, s in enumerate(book.sell_sizes)})
 
 
 def _neutral(book, journal):
@@ -160,7 +159,10 @@ def _neutral(book, journal):
 
     Every other corruption moves a quote entry, which the position
     checks and the final quotes catch, or changes a size that the replay
-    compares, and must be rejected.
+    compares, and must be rejected. A flipped side is one of these: it
+    moves a consume, a regen or a side's first init into the other
+    side's quote history, or puts the entry on a side with no level at
+    its price, since the two sides hold disjoint prices.
     """
     return (_quote_history(journal) == _quote_history(book.journal)
             and _levels_ok(journal, book))
@@ -168,15 +170,16 @@ def _neutral(book, journal):
 
 def _corruptions(journal, i):
     """(kind, corrupted copy) for each way of corrupting entry i: its
-    amount one ulp down or up, its price one tick down or up, a drop, and
-    a swap with each neighbour, each entry at its level and the previous
-    and next entry of its tag and side."""
+    amount one ulp down or up, its price one tick down or up, its side
+    flipped, a drop, and a swap with each neighbour, each entry at its
+    level and the previous and next entry of its tag and side."""
     op, side, price, amount = journal[i]
     for toward in (0.0, math.inf):
         yield "ulp", [*journal[:i], (op, side, price, math.nextafter(amount, toward)),
                       *journal[i + 1:]]
     for step in (-1, 1):
         yield "tick", [*journal[:i], (op, side, price + step, amount), *journal[i + 1:]]
+    yield "side", [*journal[:i], (op, not side, price, amount), *journal[i + 1:]]
     yield "drop", journal[:i] + journal[i + 1:]
     same = [k for k, entry in enumerate(journal) if entry[:2] == (op, side)]
     at = same.index(i)
@@ -188,8 +191,8 @@ def _corruptions(journal, i):
         yield "swap", swapped
 
 
-# (side, own depth or None for the opposite best)
-AGENTS = st.tuples(st.sampled_from(Side), st.none() | st.integers(0, 9))
+# (buy, own depth or None for the opposite best), the sampler's draw
+AGENTS = st.tuples(st.booleans(), st.none() | st.integers(0, 9))
 AGENT_LISTS = st.lists(AGENTS, min_size=1, max_size=10)
 
 # The journal tags of one agent, by the path it took.
@@ -215,18 +218,17 @@ class BookMachine(RuleBasedStateMachine):
     def act(self, agents):
         """A few agents, each compared on its own: hypothesis ends most
         runs after a handful of rules."""
-        for side, depth in agents:
-            self.agent(side, depth)
+        for draw in agents:
+            self.agent(draw)
             self.compare()
 
-    def agent(self, side, depth):
-        """One agent at the opposite best (depth None) or at own level
-        `depth`, drawn as the sampler draws it."""
+    def agent(self, draw):
+        """One agent, drawn as the sampler draws it: `(buy, depth)`, at
+        the opposite best (depth None) or at own level `depth`."""
         model = self.model
-        draw = (side is BUY, depth)
         before = len(model.journal)
         try:
-            want = model.apply(side, depth)
+            want = model.apply(*draw)
         except DegenerateBookError:
             event("path: price floor")
             with pytest.raises(DegenerateBookError, match="price floor"):
@@ -258,10 +260,10 @@ class BookMachine(RuleBasedStateMachine):
         the model alone."""
         book, model = self.book, self.model
         assert (book.bid, book.ask) == (model.bid, model.ask)
-        assert {book.bid - i: s for i, s in enumerate(book.buy_sizes)} == model.levels[BUY]
-        assert {book.ask + i: s for i, s in enumerate(book.sell_sizes)} == model.levels[SELL]
-        assert sorted(model.levels[BUY]) == list(range(model.bid - 9, model.bid + 1))
-        assert sorted(model.levels[SELL]) == list(range(model.ask, model.ask + 10))
+        assert {book.bid - i: s for i, s in enumerate(book.buy_sizes)} == model.levels[True]
+        assert {book.ask + i: s for i, s in enumerate(book.sell_sizes)} == model.levels[False]
+        assert sorted(model.levels[True]) == list(range(model.bid - 9, model.bid + 1))
+        assert sorted(model.levels[False]) == list(range(model.ask, model.ask + 10))
         assert model.bid < model.ask
         assert all(s > 0.0 for levels in model.levels.values() for s in levels.values())
 
